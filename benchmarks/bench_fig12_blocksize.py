@@ -16,7 +16,7 @@ Mapping: docs/paper-mapping.md.
 import pytest
 
 from figutils import write_result
-from repro import experiments
+from repro.analysis import experiments
 
 PAPER_SECONDS = {32: 14.85, 64: 8.20, 128: 8.06, 256: 7.89, 512: 7.49,
                  1024: 6.39, 2048: 6.25, 4096: 6.22, 8192: 6.33,

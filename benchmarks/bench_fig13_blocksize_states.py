@@ -13,7 +13,7 @@ Mapping: docs/paper-mapping.md.
 import pytest
 
 from figutils import write_result
-from repro import experiments
+from repro.analysis import experiments
 from repro.core import WorkerState
 from repro.render import StateMode, TimelineView, render_timeline
 

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro import experiments
+from repro.analysis import experiments
 
 # Benchmarks record machine-readable timings through tools/bench_json.py
 # (the perf trajectory uploaded by CI).

@@ -20,7 +20,7 @@ import sys
 from repro.core import (DurationFilter, TaskTypeFilter,
                         duration_vs_counter_rate, export_task_table,
                         task_duration_histogram, task_duration_stats)
-from repro.experiments import kmeans_trace
+from repro.analysis.experiments import kmeans_trace
 from repro.render import histogram_to_text
 
 

@@ -10,8 +10,8 @@ Run:  python examples/kmeans_granularity.py
 """
 
 from repro.core import WorkerState
-from repro.experiments import (kmeans_machine, kmeans_makespan,
-                               kmeans_trace)
+from repro.analysis.experiments import (kmeans_machine,
+                                       kmeans_makespan, kmeans_trace)
 
 
 def main():

@@ -11,8 +11,7 @@ Modules:
 
 * :mod:`~repro.analysis.experiments.harness` — the single-run
   harness (scale presets, run-time pairs, per-workload trace
-  builders); also importable as ``repro.experiments`` for
-  compatibility;
+  builders);
 * :mod:`~repro.analysis.experiments.suite` — sweep specs, the
   durable suite runner and per-trace summaries;
 * :mod:`~repro.analysis.experiments.queue` — the SQLite job journal

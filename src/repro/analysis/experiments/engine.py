@@ -40,8 +40,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ...trace_format import read_trace, verify_trace
-from .queue import (DEFAULT_LEASE_SECONDS, ExperimentError, JobQueue,
-                    JobRecord, QueueError, RetryPolicy, journal_path)
+from ..parallel import resolve_workers
+from .queue import (DEFAULT_LEASE_SECONDS, JobQueue, JobRecord,
+                    QueueError, journal_path)
 from .store import TraceStore, job_key, spec_key
 
 #: Store directory inside a suite directory.
@@ -237,12 +238,11 @@ def _drain(queue, store, directory, workers, retry, lease_seconds,
            max_jobs):
     """Run worker processes (or the inline loop) until the journal has
     no runnable jobs left."""
-    from .suite import resolve_suite_workers
     runnable = queue.counts()
     jobs = runnable["pending"] + runnable["failed"] + runnable["leased"]
     if jobs == 0:
         return
-    workers = resolve_suite_workers(workers, jobs)
+    workers = resolve_workers(workers, jobs)
     if workers == 1 or max_jobs is not None:
         _worker_loop(queue, store, directory, _worker_owner(0),
                      max_jobs=max_jobs)

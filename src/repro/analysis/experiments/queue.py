@@ -47,8 +47,8 @@ import socket
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 #: Journal file name inside a suite directory.
 JOURNAL_NAME = "journal.sqlite"

@@ -31,19 +31,19 @@ suite engine:
 
 Workers are separate processes, so specs and summaries are plain
 picklable dataclasses.  Platforms that cannot spawn processes (or
-``workers=1``) degrade to an identical serial loop, exactly like
-:mod:`repro.analysis.parallel`.
+``workers=1``) degrade to an identical serial loop
+(:func:`repro.analysis.parallel.pooled_map`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..parallel import pooled_map, resolve_workers
 from . import harness
 
 
@@ -333,33 +333,6 @@ def _summarize_path(job):
             message[0] if message else "failed"))
 
 
-def _pooled_map(function, jobs, workers):
-    """``pool.map`` with the repo's serial fallback semantics: one
-    worker, one job, or an unusable platform all run the plain loop.
-    Only pool *creation* errors trigger the fallback — an exception
-    raised inside a worker body (a failed simulation, a full disk)
-    propagates instead of silently re-running every job serially."""
-    workers = max(1, min(workers, len(jobs)))
-    if workers == 1 or len(jobs) <= 1:
-        return [function(job) for job in jobs]
-    try:
-        pool = multiprocessing.get_context().Pool(workers)
-    except (OSError, ImportError, PermissionError):
-        # Platforms without working process support (restricted
-        # sandboxes, missing semaphores) still get correct results.
-        return [function(job) for job in jobs]
-    with pool:
-        return pool.map(function, jobs)
-
-
-def resolve_suite_workers(workers, num_jobs):
-    """Worker-process count for ``num_jobs`` independent traces (the
-    chunk-sharding policy of :func:`repro.analysis.parallel.
-    resolve_workers`, reused so the two pools cannot diverge)."""
-    from ..parallel import resolve_workers
-    return resolve_workers(workers, num_jobs)
-
-
 def run_suite(specs, directory, workers=None, strict=True, retry=None,
               max_jobs=None):
     """Execute every spec of a sweep; returns the trace paths in order.
@@ -451,10 +424,10 @@ def analyze_traces(paths, workers=None, cache=True, names=None,
         raise ValueError("need one name and one params dict per trace "
                          "({} paths, {} names, {} params)".format(
                              len(paths), len(names), len(params)))
-    workers = resolve_suite_workers(workers, len(paths))
     jobs = [(path, name, spec_params, cache)
             for path, name, spec_params in zip(paths, names, params)]
-    outcomes = _pooled_map(_summarize_path, jobs, workers)
+    outcomes = pooled_map(_summarize_path, jobs,
+                          resolve_workers(workers, len(paths)))
     failures = [detail for status, detail in outcomes
                 if status == "error"]
     if failures and strict:

@@ -127,6 +127,28 @@ def resolve_workers(workers, num_chunks):
     return max(1, min(workers, num_chunks))
 
 
+def pooled_map(function, jobs, workers):
+    """``[function(job) for job in jobs]`` on ``workers`` processes.
+
+    One worker, one job, or a platform that cannot create a process
+    pool all run the plain loop, with identical results.  Only pool
+    *creation* errors trigger that fallback: an exception raised inside
+    a worker body (a truncated file, a full disk) propagates instead of
+    silently re-running every job serially.
+    """
+    workers = max(1, min(workers, len(jobs)))
+    if workers == 1:
+        return [function(job) for job in jobs]
+    try:
+        pool = multiprocessing.get_context().Pool(workers)
+    except (OSError, ImportError, PermissionError):
+        # Restricted sandboxes and missing semaphores still get
+        # correct results.
+        return [function(job) for job in jobs]
+    with pool:
+        return pool.map(function, jobs)
+
+
 def parallel_map_reduce(path, factory, workers=None,
                         shards_per_worker=SHARDS_PER_WORKER,
                         columnar=False):
@@ -152,24 +174,7 @@ def parallel_map_reduce(path, factory, workers=None,
     shards = _partition(list(index.entries),
                         workers * shards_per_worker)
     jobs = [(path, factory, spans, columnar) for spans in shards]
-    if workers == 1:
-        partials = map(_scan_shard, jobs)
-    else:
-        try:
-            pool = multiprocessing.get_context().Pool(workers)
-        except (OSError, ImportError, PermissionError):
-            # Platforms without working process support (restricted
-            # sandboxes, missing semaphores) still get correct
-            # results.  Only pool creation falls back: an error
-            # raised inside a worker (e.g. a truncated file)
-            # propagates rather than re-running the scan serially.
-            pool = None
-        if pool is None:
-            partials = map(_scan_shard, jobs)
-        else:
-            with pool:
-                partials = pool.map(_scan_shard, jobs)
-    for partial in partials:
+    for partial in pooled_map(_scan_shard, jobs, workers):
         base.merge(partial)
     return base
 

@@ -16,7 +16,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .filters import filtered_tasks
 
@@ -89,7 +88,12 @@ class RegressionResult:
 
 
 def linear_regression(x, y):
-    """Least-squares regression with coefficient of determination."""
+    """Least-squares regression with coefficient of determination.
+
+    SciPy is imported here, not at module level: nothing else in the
+    package needs it, so importing :mod:`repro.core` stays cheap.
+    """
+    from scipy import stats
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 2:

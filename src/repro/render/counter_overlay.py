@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.interval_tree import CounterIndex, segment_minmax
+from ..core.interval_tree import segment_minmax
 from ..core.metrics import discrete_derivative
 
 

@@ -20,9 +20,7 @@ in four layers:
   ``aftermath_cli --remote`` and the docs' examples.
 
 Endpoint request/response shapes, pool semantics and error codes are
-specified (and doctested) in ``docs/service-api.md``;
-``benchmarks/bench_ext_service.py`` pins the shared pool at >= 5x the
-throughput of per-request reopening under 16 concurrent clients.
+specified (and doctested) in ``docs/service-api.md``.
 """
 
 from .api import ServiceError, TraceService

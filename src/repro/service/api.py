@@ -69,23 +69,17 @@ class TraceService:
     given, confines every trace/suite path to that directory
     (requests outside it fail with code ``forbidden``);  ``width`` /
     ``height`` are the default view geometry of new sessions.
-
-    ``reopen_per_request=True`` disables the shared pool: every
-    request re-opens its trace from scratch (a parse, ``cache=False``)
-    — the naive one-open-per-request server the benchmark uses as its
-    baseline.  Never use it in production.
     """
 
     def __init__(self, pool_capacity=8, root=None, width=1024,
-                 height=256, cache=True, reopen_per_request=False):
-        self.pool = MappedCachePool(capacity=pool_capacity, cache=cache)
+                 height=256):
+        self.pool = MappedCachePool(capacity=pool_capacity)
         self.root = None
         if root is not None:
             import os
             self.root = os.path.realpath(str(root))
         self.width = int(width)
         self.height = int(height)
-        self.reopen_per_request = bool(reopen_per_request)
         self._sessions = {}
         self._sessions_lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -150,21 +144,15 @@ class TraceService:
         return record
 
     def _attach(self, record):
-        """The (entry-or-None, trace) pair serving one request.
+        """The pool entry serving one request.
 
-        Pooled mode refreshes the session's store from the shared
-        pool — picking up stat-stamp invalidations — and returns the
-        entry whose lock the caller must hold.  Reopen-per-request
-        mode parses a private store for this request alone.
+        Refreshes the session's store from the shared pool — picking
+        up stat-stamp invalidations — and returns the entry whose lock
+        the caller must hold.
         """
-        if self.reopen_per_request:
-            from ..trace_format import read_trace
-            trace = read_trace(record.path, columnar=True)
-            record.session.trace = trace
-            return None, trace
         entry = self.pool.entry(record.path)
         record.session.trace = entry.trace
-        return entry, entry.trace
+        return entry
 
     @staticmethod
     def _view_payload(session):
@@ -185,15 +173,9 @@ class TraceService:
         path = self._check_path(params["path"])
         width = int(params.get("width", self.width))
         height = int(params.get("height", self.height))
-        if self.reopen_per_request:
-            from ..trace_format import read_trace
-            trace = read_trace(path, columnar=True)
-            shared = False
-        else:
-            before = self.pool.hits
-            entry = self.pool.entry(path)
-            trace = entry.trace
-            shared = self.pool.hits > before
+        before = self.pool.hits
+        trace = self.pool.entry(path).trace
+        shared = self.pool.hits > before
         session = AnalysisSession(trace, width=width, height=height)
         sid = "s{}".format(next(self._ids))
         with self._sessions_lock:
@@ -216,9 +198,8 @@ class TraceService:
         arguments = {key: params[key]
                      for key in ("factor", "center", "fraction",
                                  "start", "end") if key in params}
-        entry, __ = self._attach(record)
-        lock = entry.lock if entry is not None else threading.RLock()
-        with lock:
+        entry = self._attach(record)
+        with entry.lock:
             record.session.navigate(action, **arguments)
         return {"session": record.sid,
                 "view": self._view_payload(record.session)}
@@ -238,9 +219,8 @@ class TraceService:
             raise ServiceError("bad_request",
                                "format must be 'ascii' or 'png', got "
                                "{!r}".format(encoding))
-        entry, __ = self._attach(record)
-        lock = entry.lock if entry is not None else threading.RLock()
-        with lock:
+        entry = self._attach(record)
+        with entry.lock:
             framebuffer = record.session.render_frame(mode)
         reply = {"session": record.sid, "mode": mode,
                  "format": encoding,
@@ -264,9 +244,8 @@ class TraceService:
         state names spelled out.
         """
         record = self._record(params)
-        entry, __ = self._attach(record)
-        lock = entry.lock if entry is not None else threading.RLock()
-        with lock:
+        entry = self._attach(record)
+        with entry.lock:
             reply = record.session.statistics(
                 start=params.get("start"), end=params.get("end"))
         reply["session"] = record.sid
@@ -288,21 +267,15 @@ class TraceService:
         tolerances = None
         if "tolerances" in params:
             tolerances = DiffTolerances(**dict(params["tolerances"]))
-        if self.reopen_per_request:
-            from ..trace_format import read_trace
-            report = diff_traces(read_trace(baseline, columnar=True),
-                                 read_trace(candidate, columnar=True),
+        first = self.pool.entry(baseline)
+        second = self.pool.entry(candidate)
+        # Two locks: take them in path order so two concurrent diffs
+        # with swapped operands cannot deadlock.
+        ordered = sorted({id(e): e for e in (first, second)}.values(),
+                         key=lambda e: e.path)
+        with _hold_all(ordered):
+            report = diff_traces(first.trace, second.trace,
                                  tolerances=tolerances)
-        else:
-            first = self.pool.entry(baseline)
-            second = self.pool.entry(candidate)
-            # Two locks: take them in path order so two concurrent
-            # diffs with swapped operands cannot deadlock.
-            ordered = sorted({id(e): e for e in (first, second)}.values(),
-                             key=lambda e: e.path)
-            with _hold_all(ordered):
-                report = diff_traces(first.trace, second.trace,
-                                     tolerances=tolerances)
         payload = report.to_dict()
         payload.update({"empty": report.is_empty,
                         "deviations": len(report)})

@@ -36,6 +36,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..trace_format.cache import source_stamp
+from ..trace_format.reader import read_trace
 
 
 @dataclass
@@ -43,11 +44,10 @@ class PoolEntry:
     """One resident trace: the shared store plus its coordination
     state.
 
-    ``trace`` is the memory-mapped (or, with ``cache=False``, parsed)
-    columnar store every session of this path shares; ``lock``
-    serializes access to the store's memoized structures; ``stamp`` is
-    the source file's identity (size + mtime) at open time, checked on
-    every later acquisition.
+    ``trace`` is the memory-mapped columnar store every session of
+    this path shares; ``lock`` serializes access to the store's
+    memoized structures; ``stamp`` is the source file's identity
+    (size + mtime) at open time, checked on every later acquisition.
     """
 
     path: str
@@ -60,30 +60,20 @@ class PoolEntry:
 class MappedCachePool:
     """An LRU pool of shared, memory-mapped trace stores.
 
-    ``capacity`` bounds the number of resident traces; ``cache``
-    selects the open path (``True``: through the ``.ostc`` sidecar —
-    the production configuration; ``False``: parse into a private
-    columnar store, used only to baseline the benchmark).  All methods
-    are thread-safe.
+    ``capacity`` bounds the number of resident traces, each opened
+    through its ``.ostc`` sidecar.  All methods are thread-safe.
     """
 
-    def __init__(self, capacity=8, cache=True):
+    def __init__(self, capacity=8):
         if capacity < 1:
             raise ValueError("pool capacity must be at least 1")
         self.capacity = int(capacity)
-        self.cache = cache
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def _open(self, path):
-        from ..trace_format import read_trace
-        if self.cache:
-            return read_trace(path, cache=True)
-        return read_trace(path, columnar=True)
 
     def entry(self, path) -> PoolEntry:
         """The shared :class:`PoolEntry` for ``path``, opening (or
@@ -111,7 +101,8 @@ class MappedCachePool:
                 del self._entries[path]
                 self.invalidations += 1
             self.misses += 1
-            entry = PoolEntry(path=path, trace=self._open(path),
+            entry = PoolEntry(path=path,
+                              trace=read_trace(path, cache=True),
                               stamp=stamp)
             self._entries[path] = entry
             self._entries.move_to_end(path)

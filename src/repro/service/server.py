@@ -111,7 +111,7 @@ def create_server(host="127.0.0.1", port=0, service=None, verbose=False,
 
     ``port=0`` binds an ephemeral port (read it back from ``.url``).
     Extra keyword arguments construct the :class:`TraceService`
-    (``pool_capacity``, ``root``, ``width``, ``height``, ...).
+    (``pool_capacity``, ``root``, ``width``, ``height``).
     """
     if service is None:
         service = TraceService(**service_options)

@@ -339,10 +339,9 @@ def verify_trace(path):
                                      error))
     if index is None or not index.crc_checked:
         try:
-            records = 0
             from .streaming import stream_records
             for __ in stream_records(path):
-                records += 1
+                pass
         except fmt.FormatError as error:
             return TraceVerification(ok=False, indexed=index is not None,
                                      crc_checked=False,

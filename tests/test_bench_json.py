@@ -81,7 +81,7 @@ def _record_one(job):
 
 def _history(sweep_speedup=4.0, reopen=100.0, frames=12.0,
              scale="default", ingest=120_000.0, first_frame=0.6,
-             deep_zoom=0.2, analyze=900_000.0, service=20.0):
+             deep_zoom=0.2, analyze=900_000.0):
     """A fresh history covering every tracked metric."""
     return {
         "pr4": {
@@ -107,10 +107,6 @@ def _history(sweep_speedup=4.0, reopen=100.0, frames=12.0,
         "pr9": {
             "analyze_throughput": {"scale": scale, "gate": "always",
                                    "events_per_sec": analyze},
-        },
-        "pr10": {
-            "service_throughput": {"scale": scale, "cpus": 4,
-                                   "pool_speedup": service},
         },
     }
 

@@ -288,7 +288,6 @@ class TestPersistedPyramids:
         path, trace = trace_file
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
-        from repro.core import MinMaxTree
         mapped = self.fresh_mapping(path)
         plain = read_trace(path, columnar=True)
         for core in range(trace.num_cores):

@@ -1,10 +1,14 @@
 """Tests for counter attribution and correlation analysis (Section V)."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (TaskTypeFilter, counter_increase_per_task,
                         counter_rate_per_task, duration_vs_counter_rate,
                         export_task_table, linear_regression)
@@ -74,6 +78,18 @@ class TestLinearRegression:
     def test_describe_mentions_r_squared(self):
         result = linear_regression([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         assert "R^2" in result.describe()
+
+    def test_importing_the_interactive_stack_leaves_scipy_unloaded(self):
+        """Only the regression needs SciPy, so a fresh interpreter that
+        imports the core, the service and the session must not load
+        it."""
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        probe = ("import sys, repro.core, repro.service, repro.session; "
+                 "print('scipy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestDurationVsCounter:

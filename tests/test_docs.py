@@ -44,6 +44,27 @@ def test_no_dangling_doc_references():
         sys.path.pop(0)
 
 
+@pytest.mark.skipif(not (ROOT / ".git").exists(),
+                    reason="needs a git checkout to know ignored paths")
+def test_doc_reference_to_generated_output_fails_either_way(tmp_path):
+    """A doc naming git-ignored generated output is reported whether
+    or not that output exists here, so the check's verdict cannot
+    depend on whether a bench has run in this tree."""
+    doc = tmp_path / "doc.md"
+    doc.write_text("Results land in `benchmarks/results/` next to\n"
+                   "`benchmarks/conftest.py` and [a note](note.md).\n")
+    (tmp_path / "note.md").write_text("A document beside this one.\n")
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from check_docs_links import check
+        problems = check([doc])
+    finally:
+        sys.path.pop(0)
+    assert len(problems) == 1
+    assert problems[0].endswith(
+        "generated (git-ignored) path benchmarks/results")
+
+
 def test_paper_mapping_covers_every_benchmark():
     mapping = (ROOT / "docs" / "paper-mapping.md").read_text()
     benches = sorted((ROOT / "benchmarks").glob("bench_*.py"))

@@ -3,7 +3,7 @@ test scale."""
 
 import pytest
 
-from repro import experiments
+from repro.analysis import experiments
 from repro.core import locality_fraction
 from repro.runtime import (FirstTouch, NumaAwareScheduler, RandomPlacement,
                            RandomStealScheduler)

@@ -87,7 +87,7 @@ class TestOptimizedVsNonOptimized:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        from repro.experiments import seidel_trace
+        from repro.analysis.experiments import seidel_trace
         from repro.workloads import SeidelConfig
         config = SeidelConfig(blocks=8, block_dim=16, steps=4)
         from repro.runtime import Machine

@@ -105,7 +105,6 @@ class TestStateTiles:
         trace = make_random_trace(7, events_per_core=40).to_columnar()
         for core in (0, 1):
             lane = trace.states.lane(core)
-            index = trace.state_index(core)
             tiles = trace.state_tiles(core)
             assert tiles.level_counts() == \
                 tile_level_counts(trace.end - trace.begin)

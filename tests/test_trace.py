@@ -213,7 +213,7 @@ class TestMergeCounterSeries:
         the Fig. 10 aggregation on the merged trace."""
         from repro.core import aggregate_counter_series, \
             merge_counter_series
-        from repro.experiments import seidel_trace
+        from repro.analysis.experiments import seidel_trace
         from repro.workloads import SeidelConfig
         from repro.runtime import Machine
         machine = Machine(2, 4)

@@ -10,7 +10,10 @@ a dropped doc, a benchmark folded into another.  This tool walks
 * every repo path named in prose or code spans — anything matching
   ``src/... docs/... tools/... tests/... benchmarks/... examples/...``
   — exists in the working tree (glob-ish mentions containing ``*``
-  are skipped).
+  are skipped), and
+* no reference names a path git ignores (generated output such as a
+  bench's results directory): a fresh clone lacks it, so the verdict
+  must not depend on whether something was run in this tree.
 
 Exit status 0 when every reference resolves, 1 with one line per
 dangling reference otherwise (CI-enforced).
@@ -20,8 +23,10 @@ Usage: python tools/check_docs_links.py [markdown-file ...]
 
 from __future__ import annotations
 
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -62,19 +67,45 @@ def _targets(text, base):
         yield target, [ROOT / target]
 
 
+def _ignored(relpaths):
+    """The subset of repo-relative ``relpaths`` that git ignores, as a
+    path or as a directory (empty outside a git checkout).  Paths
+    outside the repo are never ignored: git refuses to judge them."""
+    queries = sorted({query for relpath in relpaths
+                      if not relpath.startswith(os.pardir)
+                      for query in (relpath, relpath + "/")})
+    try:
+        done = subprocess.run(["git", "check-ignore", "--"] + queries,
+                              cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return set()
+    return {line.rstrip("/") for line in done.stdout.splitlines()}
+
+
 def check(paths):
     """Return a list of ``file: dangling reference`` report lines."""
-    problems = []
+    references = []
     for path in paths:
-        text = path.read_text()
         seen = set()
-        for target, candidates in _targets(text, path.parent):
-            if target in seen:
-                continue
-            seen.add(target)
-            if not any(candidate.exists() for candidate in candidates):
-                problems.append("{}: dangling reference {}".format(
-                    path.relative_to(ROOT), target))
+        for target, candidates in _targets(path.read_text(),
+                                           path.parent):
+            if target not in seen:
+                seen.add(target)
+                references.append((path, target, [
+                    os.path.relpath(candidate, ROOT)
+                    for candidate in candidates]))
+    ignored = _ignored(relpath for __, __, relpaths in references
+                       for relpath in relpaths)
+    problems = []
+    for path, target, relpaths in references:
+        if any(relpath in ignored for relpath in relpaths):
+            reason = "generated (git-ignored) path"
+        elif not any((ROOT / relpath).exists() for relpath in relpaths):
+            reason = "dangling reference"
+        else:
+            continue
+        problems.append("{}: {} {}".format(
+            os.path.relpath(path, ROOT), reason, target))
     return problems
 
 

@@ -93,11 +93,6 @@ TRACKED = (
     # so the floor is enforced on any runner.
     TrackedMetric("pr9", "analyze_throughput", "events_per_sec",
                   50_000.0, always=True),
-    # ISSUE 10: the multi-tenant service's shared mapped pool must
-    # beat a per-request-reopen server by 5x at 16 concurrent
-    # clients.  A threading server cannot overlap requests on one
-    # CPU, so the bench records gate:skip there.
-    TrackedMetric("pr10", "service_throughput", "pool_speedup", 5.0),
 )
 
 
