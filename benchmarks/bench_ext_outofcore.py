@@ -24,8 +24,9 @@ import pytest
 from figutils import write_result
 from repro.analysis import parallel_streaming_statistics
 from repro.core import reference, statistics
-from repro.trace_format import (ScanStats, read_chunk_index, read_trace,
-                                split_time_window, streaming_statistics,
+from repro.trace_format import (ScanStats, build_window, read_chunk_index,
+                                read_trace, split_time_window,
+                                stream_records, streaming_statistics,
                                 write_synthetic_trace)
 
 _EVENTS = {"small": 100_000, "default": 1_000_000, "paper": 4_000_000}
@@ -72,9 +73,10 @@ def test_full_scan_window_baseline(benchmark, big_trace):
     path, __, bounds = big_trace
     span = bounds.end - bounds.begin
     start = bounds.begin + span // 2
-    window = benchmark.pedantic(split_time_window, rounds=3, iterations=1,
-                                args=(path, start, start + span // 100),
-                                kwargs={"use_index": False})
+    window = benchmark.pedantic(
+        lambda: build_window(stream_records(path), start,
+                             start + span // 100),
+        rounds=3, iterations=1)
     assert len(window.tasks) > 0
 
 

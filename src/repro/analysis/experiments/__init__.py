@@ -48,7 +48,7 @@ from .render import (render_matrices_side_by_side, render_state_overlay,
 from .store import StoreError, TraceStore, job_key, spec_key
 from .suite import (ExperimentSpec, TraceSummary, analyze_traces,
                     block_size_sweep, fault_sweep, generate_trace,
-                    resume_suite, run_and_analyze, run_suite,
+                    resume_suite, run_suite,
                     scheduler_sweep, summarize_trace, synthetic_sweep)
 
 __all__ = [
@@ -68,6 +68,6 @@ __all__ = [
     "StoreError", "TraceStore", "job_key", "spec_key",
     "ExperimentSpec", "TraceSummary", "analyze_traces",
     "block_size_sweep", "fault_sweep", "generate_trace",
-    "resume_suite", "run_and_analyze", "run_suite",
+    "resume_suite", "run_suite",
     "scheduler_sweep", "summarize_trace", "synthetic_sweep",
 ]

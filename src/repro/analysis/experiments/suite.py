@@ -300,18 +300,6 @@ def generate_trace(spec, path):
     return path
 
 
-def _run_spec(job):
-    """Simulate one spec straight into a suite directory (trace plus
-    ``.ostc`` sidecar) — the journal-free single-point path, kept for
-    callers that want one trace without engine machinery."""
-    spec, directory = job
-    path = generate_trace(
-        spec, os.path.join(directory, spec.trace_filename()))
-    from ...trace_format import read_trace
-    read_trace(path, cache=True)        # write the sidecar through
-    return path
-
-
 def _summarize_path(job):
     """Worker body of :func:`analyze_traces`: open one trace through
     the mapped cache and summarize it.  Failures come back as data —
@@ -438,24 +426,3 @@ def analyze_traces(paths, workers=None, cache=True, names=None,
     return [detail if status == "ok" else None
             for status, detail in outcomes]
 
-
-def run_and_analyze(specs, directory, workers=None, cache=True,
-                    strict=True):
-    """:func:`run_suite` then :func:`analyze_traces`, labeled by spec.
-
-    With ``strict=False`` a quarantined spec yields ``None`` in both
-    the path and summary slots instead of raising.
-    """
-    specs = list(specs)
-    paths = run_suite(specs, directory, workers=workers, strict=strict)
-    produced = [(path, spec) for path, spec in zip(paths, specs)
-                if path is not None]
-    summaries = analyze_traces(
-        [path for path, __ in produced], workers=workers, cache=cache,
-        names=[spec.name for __, spec in produced],
-        params=[spec.param_dict() for __, spec in produced],
-        strict=strict)
-    by_path = {path: summary
-               for (path, __), summary in zip(produced, summaries)}
-    return [by_path.get(path) if path is not None else None
-            for path in paths]

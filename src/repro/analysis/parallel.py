@@ -84,10 +84,9 @@ class CommMatrixAccumulator:
         return self
 
 
-def _scan_serial(path, factory, columnar=False):
+def _scan_serial(path, factory):
     """The fallback map-reduce: one accumulator, one full scan."""
-    return fold_records(stream_records(path), factory(),
-                        columnar=columnar)
+    return fold_records(stream_records(path), factory())
 
 
 def _shard_records(stream, spans):
@@ -100,14 +99,13 @@ def _shard_records(stream, spans):
 def _scan_shard(job):
     """Worker body: fold one shard of chunks into a fresh accumulator.
 
-    ``job`` is ``(path, factory, spans, columnar)`` with ``spans`` the
-    chunk entries assigned to this worker.  Runs in a separate process,
-    so it re-opens the file itself.
+    ``job`` is ``(path, factory, spans)`` with ``spans`` the chunk
+    entries assigned to this worker.  Runs in a separate process, so
+    it re-opens the file itself.
     """
-    path, factory, spans, columnar = job
+    path, factory, spans = job
     with open(path, "rb") as stream:
-        return fold_records(_shard_records(stream, spans), factory(),
-                            columnar=columnar)
+        return fold_records(_shard_records(stream, spans), factory())
 
 
 def _partition(entries, shards):
@@ -149,57 +147,52 @@ def pooled_map(function, jobs, workers):
         return pool.map(function, jobs)
 
 
-def parallel_map_reduce(path, factory, workers=None,
-                        shards_per_worker=SHARDS_PER_WORKER,
-                        columnar=False):
+def parallel_map_reduce(path, factory, workers=None):
     """Fold every record of ``path`` into an accumulator, in parallel.
 
     ``factory`` builds an empty accumulator (called once in the driver
     for the static preamble and once per shard in the workers).  The
     merged result equals a serial ``consume`` pass over the whole file:
     every record is consumed exactly once, and partials are merged in
-    file order.  ``columnar=True`` makes every scan fold its records
-    through the accumulator's vectorized ``consume_batch`` path
-    (:func:`repro.trace_format.streaming.fold_records`) — identical
-    results, less per-record work.  Returns the final accumulator.
+    file order.  Every scan folds its records through
+    :func:`repro.trace_format.streaming.fold_records`.  Returns the
+    final accumulator.
     """
     index = read_chunk_index(path)
     if index is None or index.num_chunks == 0:
-        return _scan_serial(path, factory, columnar=columnar)
+        return _scan_serial(path, factory)
     workers = resolve_workers(workers, index.num_chunks)
     base = factory()
     with open(path, "rb") as stream:
         for kind, fields in iter_preamble_records(stream, index):
             base.consume(kind, fields)
     shards = _partition(list(index.entries),
-                        workers * shards_per_worker)
-    jobs = [(path, factory, spans, columnar) for spans in shards]
+                        workers * SHARDS_PER_WORKER)
+    jobs = [(path, factory, spans) for spans in shards]
     for partial in pooled_map(_scan_shard, jobs, workers):
         base.merge(partial)
     return base
 
 
-def parallel_streaming_statistics(path, workers=None, columnar=False):
+def parallel_streaming_statistics(path, workers=None):
     """Sharded :func:`repro.trace_format.streaming.
     streaming_statistics`: same :class:`StreamingStatistics` result,
     computed by ``workers`` processes over the chunk index."""
     return parallel_map_reduce(path, StreamingStatistics,
-                               workers=workers, columnar=columnar)
+                               workers=workers)
 
 
-def parallel_task_histogram(path, bins, value_range, workers=None,
-                            columnar=False):
+def parallel_task_histogram(path, bins, value_range, workers=None):
     """Sharded task-duration histogram; returns ``(edges, counts)``
     identical to :func:`repro.trace_format.streaming.
     streaming_task_histogram`."""
     factory = functools.partial(TaskHistogramAccumulator, bins,
                                 value_range)
-    accumulator = parallel_map_reduce(path, factory, workers=workers,
-                                      columnar=columnar)
+    accumulator = parallel_map_reduce(path, factory, workers=workers)
     return accumulator.edges, accumulator.counts
 
 
-def parallel_comm_matrix(path, workers=None, columnar=False):
+def parallel_comm_matrix(path, workers=None):
     """Sharded core-to-core communication-byte matrix from the file's
     communication events."""
     topology = None
@@ -211,6 +204,5 @@ def parallel_comm_matrix(path, workers=None, columnar=False):
         raise ValueError("trace has no topology record")
     factory = functools.partial(CommMatrixAccumulator,
                                 topology.num_cores)
-    accumulator = parallel_map_reduce(path, factory, workers=workers,
-                                      columnar=columnar)
+    accumulator = parallel_map_reduce(path, factory, workers=workers)
     return accumulator.matrix

@@ -213,13 +213,14 @@ def state_time_summary_out_of_core(path, workers=None, columnar=False):
     The out-of-core counterpart of :func:`state_time_summary`: the file
     is never loaded into memory — with a chunk index present the pass
     is sharded over ``workers`` processes, otherwise it streams
-    serially.  ``columnar=True`` folds records through the vectorized
-    batch accumulators.  Returns the same ``{state: cycles}`` mapping a
-    full-file :func:`state_time_summary` would produce.
+    serially.  Returns the same ``{state: cycles}`` mapping a full-file
+    :func:`state_time_summary` would produce.  ``columnar`` has no
+    effect: every pass folds records in per-kind column batches.  It is
+    still accepted because existing callers pass it.
     """
     from ..analysis.parallel import parallel_streaming_statistics
     return dict(parallel_streaming_statistics(
-        path, workers=workers, columnar=columnar).state_cycles)
+        path, workers=workers).state_cycles)
 
 
 def interval_report_out_of_core(path, start=None, end=None,

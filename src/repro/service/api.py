@@ -32,6 +32,11 @@ from .pool import MappedCachePool
 ENDPOINTS = ("open", "navigate", "render", "stats", "diff",
              "sweep-status", "close")
 
+#: Largest ``width`` or ``height`` an ``open`` accepts.  A session's
+#: first render allocates a ``height x width`` RGB framebuffer while
+#: holding the shared per-trace lock, so the geometry is bounded here.
+MAX_VIEW_SIDE = 4096
+
 
 class ServiceError(Exception):
     """A request failure with a machine-readable code.
@@ -166,13 +171,19 @@ class TraceService:
         """``open``: start a session on a trace file.
 
         Parameters: ``path`` (required), ``width``/``height``
-        (optional view geometry).  Returns the session id, whether the
-        mapping was already resident (``shared``), topology facts and
-        the initial whole-trace view.
+        (optional view geometry, each at most :data:`MAX_VIEW_SIDE`).
+        Returns the session id, whether the mapping was already
+        resident (``shared``), topology facts and the initial
+        whole-trace view.
         """
         path = self._check_path(params["path"])
         width = int(params.get("width", self.width))
         height = int(params.get("height", self.height))
+        if not (0 < width <= MAX_VIEW_SIDE
+                and 0 < height <= MAX_VIEW_SIDE):
+            raise ServiceError(
+                "bad_request", "width and height must be 1..{} pixels, "
+                "got {}x{}".format(MAX_VIEW_SIDE, width, height))
         before = self.pool.hits
         trace = self.pool.entry(path).trace
         shared = self.pool.hits > before

@@ -28,6 +28,10 @@ from urllib.parse import urlparse
 
 from .api import ServiceError, TraceService
 
+#: Largest request body ``POST`` accepts; every endpoint's parameters
+#: fit in a few hundred bytes.
+MAX_REQUEST_BYTES = 1 << 20
+
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """Maps the HTTP surface onto :meth:`TraceService.handle`."""
@@ -35,11 +39,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "ReproTraceService/1.0"
     protocol_version = "HTTP/1.1"
 
-    def _reply(self, status, payload):
+    def _reply(self, status, payload, close=False):
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -65,6 +71,17 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         endpoint = path[len("/api/"):].strip("/")
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_REQUEST_BYTES:
+            # The body cannot be read safely (a negative length blocks
+            # until the client hangs up, a huge one fills memory), so
+            # the connection cannot be reused either.
+            self._reply(400, ServiceError(
+                "bad_request", "Content-Length must be 0..{} bytes"
+                .format(MAX_REQUEST_BYTES)).payload(), close=True)
+            return
+        try:
             params = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, TypeError):
             self._reply(400, ServiceError(

@@ -92,9 +92,10 @@ INDEX_TRAILER = struct.Struct("<Q8s")       # offset of the index, magic
 # CRC32 of every chunk's bytes and of the preamble, so readers detect
 # a flipped bit or a truncated chunk *before* mis-parsing it, and the
 # salvage path can recover the complete verified prefix of a damaged
-# trace.  v1 files (and files written with ``crc=False``) keep their
-# old footer and stay readable — the directory layout only differs in
-# the trailer magic and the per-entry trailing CRC word.
+# trace.  The writer emits only v2; v1 files, written by earlier
+# versions, stay readable, verifiable and salvageable — the directory
+# layout only differs in the trailer magic and the per-entry trailing
+# CRC word.
 
 INDEX_MAGIC_V2 = b"AFTMIDX2"
 

@@ -61,26 +61,25 @@ BATCHABLE_KINDS = frozenset((
     "state_interval", "task_execution", "counter_sample",
     "discrete_event", "comm_event", "memory_access"))
 
-#: Records buffered per kind before a columnar flush.
-DEFAULT_BATCH_RECORDS = 65536
+#: Records buffered per kind before a batch is folded.
+BATCH_RECORDS = 65536
 
 
-def fold_records(records, accumulator, columnar=False,
-                 batch_records=DEFAULT_BATCH_RECORDS):
+def fold_records(records, accumulator):
     """Fold a ``(kind, fields)`` stream into an accumulator.
 
-    With ``columnar=False`` this is the plain per-record ``consume``
-    loop.  With ``columnar=True`` event records are buffered per kind
-    and handed to the accumulator's vectorized ``consume_batch(kind,
-    columns)`` in batches of ``batch_records`` — same results (every
-    accumulator aggregate is a sum, min or max), much less per-record
-    Python work.  An accumulator's ``batch_kinds`` attribute restricts
-    which kinds are worth buffering (default: every event kind);
-    accumulators without ``consume_batch`` silently fall back to the
-    scalar loop.  Returns ``accumulator``.
+    Event records are buffered per kind and handed to the accumulator's
+    vectorized ``consume_batch(kind, columns)`` in batches of
+    :data:`BATCH_RECORDS` — the results equal a per-record ``consume``
+    loop (every accumulator aggregate is a sum, min or max), with less
+    per-record Python work.  An accumulator's ``batch_kinds``
+    attribute restricts which kinds are worth buffering (default: every
+    event kind); static records, and every record of an accumulator
+    without ``consume_batch``, go through ``consume``.  Returns
+    ``accumulator``.
     """
     consume_batch = getattr(accumulator, "consume_batch", None)
-    if not columnar or consume_batch is None:
+    if consume_batch is None:
         for kind, fields in records:
             accumulator.consume(kind, fields)
         return accumulator
@@ -107,7 +106,7 @@ def fold_records(records, accumulator, columnar=False,
         if kind in batchable:
             rows = buffers.setdefault(kind, [])
             rows.append(fields)
-            if len(rows) >= batch_records:
+            if len(rows) >= BATCH_RECORDS:
                 flush(kind)
         else:
             accumulator.consume(kind, fields)
@@ -281,16 +280,13 @@ class StreamingStatistics:
         return "\n".join(lines)
 
 
-def streaming_statistics(path, columnar=False):
+def streaming_statistics(path):
     """One out-of-core pass: summary statistics of a trace file.
 
-    ``columnar=True`` folds the records through the vectorized batch
-    path (:func:`fold_records`) — identical results, less per-record
-    work.  For the sharded multi-process equivalent see
+    For the sharded multi-process equivalent see
     :func:`repro.analysis.parallel.parallel_streaming_statistics`.
     """
-    return fold_records(stream_records(path), StreamingStatistics(),
-                        columnar=columnar)
+    return fold_records(stream_records(path), StreamingStatistics())
 
 
 def streaming_state_summary(path):
@@ -349,62 +345,67 @@ class TaskHistogramAccumulator:
         return self
 
 
-def streaming_task_histogram(path, bins, value_range, columnar=False):
+def streaming_task_histogram(path, bins, value_range):
     """Out-of-core task-duration histogram with fixed bin edges.
 
     ``value_range = (lo, hi)`` must be given up front (a streaming pass
     cannot know the duration range in advance); durations outside it
-    are clamped into the edge bins.  ``columnar=True`` uses the
-    vectorized batch path.  Returns ``(edges, counts)``.
+    are clamped into the edge bins.  Returns ``(edges, counts)``.
     """
     accumulator = fold_records(stream_records(path),
-                               TaskHistogramAccumulator(bins, value_range),
-                               columnar=columnar)
+                               TaskHistogramAccumulator(bins, value_range))
     return accumulator.edges, accumulator.counts
 
 
-def split_time_window(path, start, end, use_index=True, stats=None,
-                      columnar=False, cache=None):
+def split_time_window(path, start, end, *, stats=None, columnar=False,
+                      cache=None):
     """Extract [start, end) of a huge trace into an in-memory trace.
 
     Static records are kept in full; event records are dropped unless
     they overlap the window.  This is the out-of-core navigation
     pattern: stream once, then interact with the small window.
 
-    When the file carries a chunk index and ``use_index`` is true, the
-    pass seeks directly to the overlapping chunks and reads only those
-    bytes; unindexed (or compressed) files fall back to the full scan.
-    ``stats``, if given, is a
-    :class:`~repro.trace_format.chunked.ScanStats` reporting how many
-    bytes the extraction actually read.  ``columnar=True`` assembles a
-    :class:`~repro.core.columnar.ColumnarTrace` instead of a
-    :class:`Trace`, without materializing per-event objects.
+    When the file carries a chunk index, the pass seeks directly to the
+    overlapping chunks and reads only those bytes; unindexed (or
+    compressed) files fall back to the full scan.  ``stats``, if given,
+    is a :class:`~repro.trace_format.chunked.ScanStats` reporting how
+    many bytes the extraction actually read.  ``columnar=True``
+    assembles a :class:`~repro.core.columnar.ColumnarTrace` instead of
+    a :class:`Trace`, without materializing per-event objects.
 
-    ``cache`` (columnar only) serves the window as a zero-copy slice
-    of the memory-mapped ``.ostc`` sidecar when one is fresh — see
-    :func:`repro.trace_format.chunked.read_window_columnar`.
+    ``cache`` (columnar only; ``True`` for the conventional sidecar, or
+    an explicit path) serves the window as a zero-copy
+    :meth:`~repro.core.columnar.ColumnarTrace.slice_time_window` over
+    the memory-mapped ``.ostc`` sidecar when a fresh one exists — no
+    chunk is parsed and ``stats`` is left untouched.  Without a usable
+    sidecar the chunk-seeking path runs unchanged.
     """
     if cache:
         if not columnar:
             raise ValueError("cache-served windows are columnar; pass "
                              "columnar=True")
-        from .chunked import read_window_columnar
-        return read_window_columnar(path, start, end, stats=stats,
-                                    cache=cache)
-    if use_index:
-        from .chunked import stream_window_records
-        records = stream_window_records(path, start, end, stats=stats)
-    else:
-        records = stream_records(path)
-    return build_window(records, start, end, columnar=columnar)
+        from .cache import CacheError, default_cache_path, load_cache
+        cache_path = (default_cache_path(path) if cache is True
+                      else str(cache))
+        try:
+            mapped = load_cache(cache_path, source_path=path)
+        except (OSError, CacheError):
+            mapped = None
+        if mapped is not None:
+            return mapped.slice_time_window(start, end)
+    from .chunked import stream_window_records
+    return build_window(stream_window_records(path, start, end,
+                                              stats=stats),
+                        start, end, columnar=columnar)
 
 
 def build_window(records, start, end, columnar=False):
     """Assemble an in-memory trace from a ``(kind, fields)`` stream,
     keeping static records and the events overlapping ``[start, end)``.
-    Factored out of :func:`split_time_window` so the sequential and the
-    chunk-seeking paths share the exact same filtering semantics; the
-    ``columnar`` flag only swaps the builder
+    The filtering half of :func:`split_time_window`; over
+    :func:`stream_records` it is the full-scan reference the
+    chunk-seeking path must equal.  The ``columnar`` flag only swaps
+    the builder
     (:class:`~repro.core.trace.TraceBuilder` vs.
     :class:`~repro.core.columnar.ColumnarBuilder`)."""
     from ..core.columnar import ColumnarBuilder

@@ -148,23 +148,20 @@ class IndexedTraceWriter(TraceWriter):
     as a context manager) to emit the index footer — an unfinished
     indexed trace is still a valid, merely unindexed, trace file.
 
-    With ``crc=True`` (the default) every chunk's bytes — and the
-    preamble's — are checksummed as they are written, and the footer
-    uses the version-2 directory layout that stores one CRC32 per
-    entry.  Readers then detect corrupted or truncated chunks before
-    mis-parsing them, and the salvage path
+    Every chunk's bytes — and the preamble's — are checksummed as they
+    are written, and the footer uses the version-2 directory layout
+    that stores one CRC32 per entry.  Readers then detect corrupted or
+    truncated chunks before mis-parsing them, and the salvage path
     (:func:`repro.trace_format.chunked.salvage_records`) can recover
-    the verified prefix of a damaged file.  ``crc=False`` emits the
-    legacy version-1 footer, which old readers understand.
+    the verified prefix of a damaged file.  Version-1 footers are read
+    but no longer written.
     """
 
-    def __init__(self, stream, chunk_records=DEFAULT_CHUNK_RECORDS,
-                 crc=True):
+    def __init__(self, stream, chunk_records=DEFAULT_CHUNK_RECORDS):
         if chunk_records < 1:
             raise ValueError("chunk_records must be positive")
         super().__init__(stream)
         self.chunk_records = chunk_records
-        self.crc = bool(crc)
         self.entries = []
         self._preamble_crc = 0
         self._chunk_crc = 0
@@ -249,21 +246,13 @@ class IndexedTraceWriter(TraceWriter):
             return self.records_written
         self._close_chunk()
         index_offset = self.position
-        if self.crc:
-            footer = [fmt.TAG.pack(int(fmt.RecordTag.CHUNK_INDEX_V2)),
-                      fmt.INDEX_HEADER_V2.pack(len(self.entries),
-                                               self._preamble_crc)]
-            footer.extend(fmt.CHUNK_ENTRY_V2.pack(*entry)
-                          for entry in self.entries)
-            footer.append(fmt.INDEX_TRAILER.pack(index_offset,
-                                                 fmt.INDEX_MAGIC_V2))
-        else:
-            footer = [fmt.TAG.pack(int(fmt.RecordTag.CHUNK_INDEX)),
-                      fmt.INDEX_HEADER.pack(len(self.entries))]
-            footer.extend(fmt.CHUNK_ENTRY.pack(*entry[:7])
-                          for entry in self.entries)
-            footer.append(fmt.INDEX_TRAILER.pack(index_offset,
-                                                 fmt.INDEX_MAGIC))
+        footer = [fmt.TAG.pack(int(fmt.RecordTag.CHUNK_INDEX_V2)),
+                  fmt.INDEX_HEADER_V2.pack(len(self.entries),
+                                           self._preamble_crc)]
+        footer.extend(fmt.CHUNK_ENTRY_V2.pack(*entry)
+                      for entry in self.entries)
+        footer.append(fmt.INDEX_TRAILER.pack(index_offset,
+                                             fmt.INDEX_MAGIC_V2))
         data = b"".join(footer)
         self.stream.write(data)
         self.position += len(data)
@@ -272,24 +261,21 @@ class IndexedTraceWriter(TraceWriter):
 
 
 def write_trace(trace, path, index="auto",
-                chunk_records=DEFAULT_CHUNK_RECORDS, crc=True):
+                chunk_records=DEFAULT_CHUNK_RECORDS):
     """Serialize a :class:`Trace` to ``path`` (compressed if the suffix
     says so).  Returns the number of records written.
 
     ``index`` controls the seekable chunk index: ``True`` to append it,
     ``False`` to skip it, or ``"auto"`` (the default) to append it
     exactly when the file is uncompressed — compressed streams are not
-    seekable, so an index inside them could never be used.  ``crc``
-    selects the checksummed version-2 footer (``False`` writes the
-    legacy version-1 layout).
+    seekable, so an index inside them could never be used.
     """
     if index == "auto":
         index = codec_for_path(path) is None
     with open_trace_file(path, "wb") as stream:
         if index:
             writer = IndexedTraceWriter(stream,
-                                        chunk_records=chunk_records,
-                                        crc=crc)
+                                        chunk_records=chunk_records)
         else:
             writer = TraceWriter(stream)
         _write_records(writer, trace)

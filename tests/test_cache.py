@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import traces_equal
 from repro.session import AnalysisSession
-from repro.trace_format import (CacheError, StaleCacheError,
+from repro.trace_format import (CacheError, ScanStats, StaleCacheError,
                                 default_cache_path, load_cache,
                                 read_trace, split_time_window,
                                 write_cache, write_trace)
@@ -141,15 +141,21 @@ class TestCacheWindows:
             split_time_window(path, 0, 10, cache=True)
 
     def test_cache_served_window_matches_scan(self, trace_file):
+        """Without a sidecar the window is read from the file's chunks;
+        with a fresh one it is sliced from the mapping, reading no
+        trace-file bytes.  Both equal the object-store window."""
         path, trace = trace_file
-        read_trace(path, cache=True)
         span = trace.end - trace.begin
         start = trace.begin + span // 3
         end = trace.begin + (2 * span) // 3
-        assert traces_equal(
-            split_time_window(path, start, end, columnar=True,
-                              cache=True),
-            split_time_window(path, start, end))
+        scan = split_time_window(path, start, end)
+        for mapped in (False, True):
+            stats = ScanStats()
+            assert traces_equal(
+                split_time_window(path, start, end, stats=stats,
+                                  columnar=True, cache=True), scan)
+            assert (stats.bytes_read == 0) == mapped
+            read_trace(path, cache=True)        # writes the sidecar
 
 
 class TestMemoizedTrees:

@@ -16,11 +16,12 @@ from repro.analysis import (TaskHistogramAccumulator, parallel_comm_matrix,
                             parallel_map_reduce, parallel_streaming_statistics,
                             parallel_task_histogram)
 from repro.core import (interval_report, interval_report_out_of_core,
-                        state_time_summary_out_of_core)
+                        state_time_summary_out_of_core, traces_equal)
 from repro.trace_format import (IndexedTraceWriter, ScanStats,
-                                StreamingStatistics, read_chunk_index,
-                                read_trace, split_time_window,
-                                stream_records, streaming_state_summary,
+                                StreamingStatistics, build_window,
+                                read_chunk_index, read_trace,
+                                split_time_window, stream_records,
+                                streaming_state_summary,
                                 streaming_statistics,
                                 streaming_task_histogram,
                                 write_synthetic_trace, write_trace)
@@ -170,15 +171,9 @@ class TestSeekToWindow:
         start = trace.begin + trace.duration * offset // denominator
         end = start + trace.duration // denominator
         seek = split_time_window(indexed_seidel, start, end)
-        scan = split_time_window(indexed_seidel, start, end,
-                                 use_index=False)
-        assert len(seek.tasks) == len(scan.tasks)
-        assert len(seek.states) == len(scan.states)
-        assert len(seek.discrete) == len(scan.discrete)
-        for name, column in seek.tasks.columns.items():
-            assert (column == scan.tasks.columns[name]).all()
-        assert seek.task_types == scan.task_types
-        assert seek.regions == scan.regions
+        scan = build_window(stream_records(indexed_seidel), start, end)
+        assert len(seek.tasks) > 0
+        assert traces_equal(seek, scan)
 
     def test_narrow_window_skips_chunks(self, seidel_trace_small,
                                         indexed_seidel):
@@ -223,12 +218,8 @@ class TestLargeTraceBytes:
         assert stats.bytes_read < file_size // 2
         assert len(window.tasks) > 0
         # Chunk-granular seeking loses nothing relative to a full scan.
-        scan = split_time_window(synthetic_large, start, end,
-                                 use_index=False)
-        assert len(window.tasks) == len(scan.tasks)
-        assert len(window.states) == len(scan.states)
-        assert len(window.comm["timestamp"]) \
-            == len(scan.comm["timestamp"])
+        scan = build_window(stream_records(synthetic_large), start, end)
+        assert traces_equal(window, scan)
 
     def test_large_parallel_matches_serial(self, synthetic_large):
         serial = streaming_statistics(synthetic_large)

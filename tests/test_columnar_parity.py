@@ -14,6 +14,10 @@ stores to the executable specification.
 import numpy as np
 import pytest
 
+from repro.analysis.parallel import (CommMatrixAccumulator,
+                                     parallel_comm_matrix,
+                                     parallel_streaming_statistics,
+                                     parallel_task_histogram)
 from repro.core import (AllTasks, CoreFilter, DurationFilter,
                         IntervalFilter, NumaNodeFilter, PredicateFilter,
                         TaskTypeFilter, WorkerState, filtered_tasks,
@@ -26,6 +30,11 @@ from repro.core.derived import (AverageTaskDuration, DerivedMetricMenu,
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_discrete_events,
                           render_matrix, render_timeline, value_bounds)
+from repro.trace_format import (StreamingStatistics,
+                                TaskHistogramAccumulator, fold_records,
+                                stream_records, streaming,
+                                streaming_statistics,
+                                streaming_task_histogram, write_trace)
 from trace_gen import make_random_trace
 
 SEEDS = (1, 2, 3)
@@ -264,63 +273,81 @@ class TestIndexParity:
             assert np.array_equal(expected[1], actual[1])
 
 
+def _per_record(path, accumulator):
+    """The reference fold: one ``consume`` call per record."""
+    for kind, fields in stream_records(path):
+        accumulator.consume(kind, fields)
+    return accumulator
+
+
+def _fields(accumulator):
+    """Every field of an accumulator, arrays as lists, for ``==``."""
+    return {name: value.tolist() if isinstance(value, np.ndarray)
+            else value for name, value in vars(accumulator).items()}
+
+
 class TestBatchAccumulatorParity:
-    """The vectorized ``consume_batch`` path must match the scalar
-    ``consume`` path bit for bit, through every entry point that
-    threads ``columnar=True`` and across batch-flush boundaries."""
+    """The batched fold (``fold_records`` -> ``consume_batch``) must
+    equal a per-record ``consume`` loop bit for bit, for all three
+    accumulators, through every out-of-core entry point and across
+    batch-flush boundaries."""
 
     @pytest.fixture(scope="class")
-    def trace_file(self, tmp_path_factory):
-        from repro.trace_format import write_trace
-        path = tmp_path_factory.mktemp("batch") / "random.ost"
-        write_trace(make_random_trace(5, events_per_core=50), str(path),
-                    chunk_records=64)
-        return str(path)
+    def traces(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("batch")
+        traces = []
+        for seed in SEEDS:
+            trace = make_random_trace(seed + 4, events_per_core=50)
+            path = str(directory / "random_{}.ost".format(seed))
+            write_trace(trace, path, chunk_records=64)
+            traces.append((path, trace.num_cores))
+        return traces
 
-    def test_streaming_statistics(self, trace_file):
-        from repro.trace_format import streaming_statistics
-        assert (streaming_statistics(trace_file, columnar=True)
-                == streaming_statistics(trace_file))
+    def test_streaming_statistics(self, traces):
+        for path, __ in traces:
+            assert (streaming_statistics(path)
+                    == _per_record(path, StreamingStatistics()))
 
-    def test_streaming_task_histogram(self, trace_file):
-        from repro.trace_format import streaming_task_histogram
-        edges, counts = streaming_task_histogram(trace_file, 16, (0, 500))
-        col_edges, col_counts = streaming_task_histogram(
-            trace_file, 16, (0, 500), columnar=True)
-        assert np.array_equal(edges, col_edges)
-        assert np.array_equal(counts, col_counts)
+    def test_streaming_task_histogram(self, traces):
+        for path, __ in traces:
+            edges, counts = streaming_task_histogram(path, 16, (0, 500))
+            expected = _per_record(path,
+                                   TaskHistogramAccumulator(16, (0, 500)))
+            assert np.array_equal(edges, expected.edges)
+            assert np.array_equal(counts, expected.counts)
 
-    def test_parallel_entry_points(self, trace_file):
-        from repro.analysis import parallel_streaming_statistics
-        from repro.analysis.parallel import (parallel_comm_matrix,
-                                             parallel_task_histogram)
-        assert (parallel_streaming_statistics(trace_file, workers=2,
-                                              columnar=True)
-                == parallel_streaming_statistics(trace_file, workers=2))
-        assert np.array_equal(
-            parallel_comm_matrix(trace_file, workers=2, columnar=True),
-            parallel_comm_matrix(trace_file, workers=2))
-        __, counts = parallel_task_histogram(trace_file, 12, (0, 400),
-                                             workers=2)
-        __, col_counts = parallel_task_histogram(trace_file, 12, (0, 400),
-                                                 workers=2, columnar=True)
-        assert np.array_equal(counts, col_counts)
+    def test_parallel_entry_points(self, traces):
+        for path, num_cores in traces:
+            assert (parallel_streaming_statistics(path, workers=2)
+                    == _per_record(path, StreamingStatistics()))
+            expected = _per_record(path, CommMatrixAccumulator(num_cores))
+            assert np.array_equal(parallel_comm_matrix(path, workers=2),
+                                  expected.matrix)
+            __, counts = parallel_task_histogram(path, 12, (0, 400),
+                                                 workers=2)
+            expected = _per_record(path,
+                                   TaskHistogramAccumulator(12, (0, 400)))
+            assert np.array_equal(counts, expected.counts)
 
-    def test_state_time_summary_out_of_core(self, trace_file):
-        assert (statistics.state_time_summary_out_of_core(
-                    trace_file, columnar=True)
-                == statistics.state_time_summary_out_of_core(trace_file))
+    def test_state_time_summary_out_of_core(self, traces):
+        for path, __ in traces:
+            expected = _per_record(path, StreamingStatistics())
+            assert (statistics.state_time_summary_out_of_core(path)
+                    == statistics.state_time_summary_out_of_core(
+                        path, columnar=True)
+                    == expected.state_cycles)
 
-    def test_fold_records_across_flush_boundaries(self, trace_file):
-        """A tiny batch size forces many partial flushes; every
-        aggregate must still equal the scalar pass exactly."""
-        from repro.trace_format import (StreamingStatistics, fold_records,
-                                        stream_records,
-                                        streaming_statistics)
-        batched = fold_records(stream_records(trace_file),
-                               StreamingStatistics(), columnar=True,
-                               batch_records=7)
-        assert batched == streaming_statistics(trace_file)
+    def test_fold_records_across_flush_boundaries(self, traces,
+                                                  monkeypatch):
+        """A tiny batch size forces many partial flushes."""
+        monkeypatch.setattr(streaming, "BATCH_RECORDS", 7)
+        for path, num_cores in traces:
+            for make in (StreamingStatistics,
+                         lambda: TaskHistogramAccumulator(16, (0, 500)),
+                         lambda: CommMatrixAccumulator(num_cores)):
+                batched = fold_records(stream_records(path), make())
+                assert (_fields(batched)
+                        == _fields(_per_record(path, make())))
 
 
 class TestRenderParity:

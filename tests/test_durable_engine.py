@@ -36,6 +36,7 @@ from repro.trace_format import (CacheError, default_cache_path,
                                 read_chunk_index, read_trace,
                                 salvage_trace, verify_trace, write_trace)
 from repro.trace_format import cache as ostc
+from repro.trace_format import format as fmt
 
 CLI_PATH = (pathlib.Path(__file__).parent.parent / "examples"
             / "aftermath_cli.py")
@@ -422,14 +423,33 @@ class TestVerifyAndSalvage:
 
     def test_legacy_uncrc_files_still_verify_structurally(self,
                                                           tmp_path):
-        builder = TraceBuilder(TopologyInfo(num_nodes=1,
-                                            cores_per_node=1))
-        builder.state_interval(core=0, state=0, start=0, end=10)
-        path = str(tmp_path / "v1.ost")
-        write_trace(builder.build(), path, crc=False)
+        """v1 (CRC-less) footers are no longer written, but files that
+        carry one still read, verify and salvage."""
+        path = self._trace_path(tmp_path)
+        original = read_trace(path)
+        index = read_chunk_index(path)
+        footer = [fmt.TAG.pack(int(fmt.RecordTag.CHUNK_INDEX)),
+                  fmt.INDEX_HEADER.pack(index.num_chunks)]
+        footer.extend(fmt.CHUNK_ENTRY.pack(
+            entry.offset, entry.length, entry.t_min, entry.t_max,
+            entry.records, entry.core, entry.flags)
+            for entry in index.entries)
+        footer.append(fmt.INDEX_TRAILER.pack(index.index_offset,
+                                             fmt.INDEX_MAGIC))
+        with open(path, "r+b") as stream:
+            stream.truncate(index.index_offset)
+            stream.seek(index.index_offset)
+            stream.write(b"".join(footer))
+        legacy = read_chunk_index(path)
+        assert legacy.num_chunks == index.num_chunks
+        assert not legacy.crc_checked
+        assert traces_equal(read_trace(path), original)
         verification = verify_trace(path)
         assert verification.ok
         assert not verification.crc_checked
+        trace, report = salvage_trace(path)
+        assert report.complete
+        assert traces_equal(trace, original)
 
 
 class TestSidecarCorruption:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core import traces_equal
-from repro.trace_format import (load_cache, read_chunk_index, read_trace,
-                                read_window_columnar, split_time_window,
+from repro.trace_format import (build_window, load_cache,
+                                read_chunk_index, read_trace,
+                                split_time_window, stream_records,
                                 write_cache, write_trace)
 from trace_gen import make_random_trace
 
@@ -87,8 +88,8 @@ class TestWindowExtraction:
         window = split_time_window(path, start, end)
         assert traces_equal(
             split_time_window(path, start, end, columnar=True), window)
-        assert traces_equal(read_window_columnar(path, start, end),
-                            window)
+        assert traces_equal(
+            build_window(stream_records(path), start, end), window)
 
 
 class TestMappedCache:
@@ -147,5 +148,5 @@ class TestMappedCache:
             assert traces_equal(mapped.slice_time_window(start, end),
                                 window)
             assert traces_equal(
-                read_window_columnar(path, start, end, cache=True),
-                window)
+                split_time_window(path, start, end, columnar=True,
+                                  cache=True), window)

@@ -11,6 +11,7 @@ import base64
 import importlib.util
 import os
 import pathlib
+import socket
 import struct
 import threading
 import zlib
@@ -19,6 +20,8 @@ import pytest
 
 from repro.service import (MappedCachePool, ServiceClient, ServiceError,
                            TraceService, start_server)
+from repro.service.api import MAX_VIEW_SIDE
+from repro.service.server import MAX_REQUEST_BYTES
 from repro.trace_format.synthesize import write_synthetic_trace
 
 CLI_PATH = (pathlib.Path(__file__).parent.parent / "examples"
@@ -283,6 +286,18 @@ class TestServiceErrors:
         self.expect(service, "sweep-status",
                     {"directory": "/outside/suite"}, "forbidden", 403)
 
+    def test_oversized_geometry_is_bad_request(self, service, trace_dir):
+        """A huge view must fail at ``open``, not as a ``MemoryError``
+        in the first render under the shared per-trace lock."""
+        path = str(trace_dir / "a.ost")
+        for geometry in ({"width": 10**9}, {"height": MAX_VIEW_SIDE + 1},
+                         {"width": 0}):
+            self.expect(service, "open", dict(geometry, path=path),
+                        "bad_request", 400)
+        opened = service.handle("open", {"path": path, "height": 8,
+                                         "width": MAX_VIEW_SIDE})
+        assert opened["view"]["width"] == MAX_VIEW_SIDE
+
     def test_missing_journal_is_queue_error(self, service, trace_dir):
         empty = trace_dir / "empty"
         empty.mkdir(exist_ok=True)
@@ -336,6 +351,26 @@ class TestHttpTransport:
             client._roundtrip("POST", "/api/open", b"{broken")
         assert excinfo.value.code == "bad_request"
         client.close_connection()
+
+    @pytest.mark.parametrize("length", ["-1", str(MAX_REQUEST_BYTES + 1)],
+                             ids=["negative", "over_cap"])
+    def test_bad_content_length_is_rejected_and_closed(self, server,
+                                                       length):
+        """Neither length may be read: the server must answer 400 and
+        hang up at once (a blocked read would time this test out)."""
+        request = ("POST /api/open HTTP/1.1\r\nHost: test\r\n"
+                   "Content-Length: {}\r\n\r\n".format(length))
+        reply = b""
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=5) as connection:
+            connection.sendall(request.encode("ascii"))
+            while True:
+                chunk = connection.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b'"bad_request"' in reply
 
     def test_client_reconnects_after_a_dropped_connection(self, server,
                                                           trace_dir):
