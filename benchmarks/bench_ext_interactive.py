@@ -18,8 +18,8 @@ synthetic million-event trace:
   markers through the batched ``searchsorted``/``segment_minmax``
   kernels and the memoized min/max trees, against the original
   per-pixel/per-event loops; required to be at least 10x faster with
-  bit-identical framebuffers across the object, columnar and
-  memory-mapped stores.
+  bit-identical framebuffers across the parsed and memory-mapped
+  stores.
 
 The persisted render pyramids (ISSUE 8) add two latency ceilings on
 the same trace:
@@ -106,7 +106,7 @@ def test_cache_reopen_vs_cold_parse(scale, interactive_trace):
     """Tentpole criterion: reopening through the mapped sidecar must
     beat re-parsing the trace file by >= 5x (scale-gated)."""
     path, records = interactive_trace
-    cold_seconds, parsed = _timed(read_trace, path, columnar=True)
+    cold_seconds, parsed = _timed(read_trace, path)
     write_seconds, first = _timed(read_trace, path, cache=True)
     reopen_seconds = min(_timed(read_trace, path, cache=True)[0]
                          for __ in range(5))
@@ -142,13 +142,12 @@ def test_cache_reopen_vs_cold_parse(scale, interactive_trace):
 def test_vectorized_frame_loop(scale, interactive_trace):
     """Tentpole criterion: the vectorized zoom/pan frame loop must
     beat the scalar per-pixel/per-event reference by >= 10x
-    (scale-gated), with bit-identical framebuffers on the object,
-    columnar and memory-mapped stores."""
+    (scale-gated), with bit-identical framebuffers on the parsed and
+    memory-mapped stores."""
     path, __ = interactive_trace
     read_trace(path, cache=True)              # ensure the sidecar
     mapped = read_trace(path, cache=True)     # the mmap-backed store
-    columnar = read_trace(path, columnar=True)
-    objects = columnar.to_objects()
+    columnar = read_trace(path)
     views = _frame_views(mapped)
 
     scalar_seconds, scalar_frames = _timed(_render_frames, columnar,
@@ -160,10 +159,9 @@ def test_vectorized_frame_loop(scale, interactive_trace):
 
     for scalar_fb, vector_fb in zip(scalar_frames, vector_frames):
         assert np.array_equal(scalar_fb, vector_fb)
-    for store in (columnar, objects):
-        for reference_fb, fb in zip(vector_frames,
-                                    _render_frames(store, views, True)):
-            assert np.array_equal(reference_fb, fb)
+    for reference_fb, fb in zip(vector_frames,
+                                _render_frames(columnar, views, True)):
+        assert np.array_equal(reference_fb, fb)
 
     per_frame = vector_seconds / len(views)
     speedup = scalar_seconds / vector_seconds
@@ -178,7 +176,7 @@ def test_vectorized_frame_loop(scale, interactive_trace):
             vector_seconds, 1e3 * per_frame),
         "frame-loop speedup: {:.0f}x (required: >= 10x at default "
         "scale)".format(speedup),
-        "framebuffers bit-identical across object/columnar/mmap: True",
+        "framebuffers bit-identical across parsed/mmap stores: True",
     ])
     record("frame_loop", {
         "scale": scale, "frames": len(views),
@@ -289,22 +287,20 @@ def test_deep_zoom_frame(scale, interactive_trace):
 
 def test_analysis_identical_across_stores(scale, interactive_trace):
     """The vectorized analysis outputs (anomaly scan, per-task counter
-    attribution) are bit-identical on the object, columnar and
-    memory-mapped stores."""
+    attribution) are bit-identical on the parsed and memory-mapped
+    stores."""
     path, __ = interactive_trace
     read_trace(path, cache=True)
     mapped = read_trace(path, cache=True)
-    columnar = read_trace(path, columnar=True)
-    objects = columnar.to_objects()
+    columnar = read_trace(path)
     expected_scan = anomalies.scan(columnar)
     __, expected_increase = correlation.counter_increase_per_task(
         columnar, 0)
-    for store in (mapped, objects):
-        assert anomalies.scan(store) == expected_scan
-        __, increases = correlation.counter_increase_per_task(store, 0)
-        assert np.array_equal(increases, expected_increase)
+    assert anomalies.scan(mapped) == expected_scan
+    __, increases = correlation.counter_increase_per_task(mapped, 0)
+    assert np.array_equal(increases, expected_increase)
     write_result("ext_interactive_parity", [
         "Anomaly scan and per-task counter attribution bit-identical",
-        "across object, columnar and memory-mapped stores: True",
+        "across parsed and memory-mapped stores: True",
         "findings: {}".format(len(expected_scan)),
     ])

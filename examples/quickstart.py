@@ -13,8 +13,9 @@ walks the full pipeline in twelve steps:
    pass, the sharded parallel equivalent, and a seek-to-window
    extraction through the chunk index — the paths that keep working
    when the trace no longer fits in RAM (docs/architecture.md);
-7. convert to the *columnar store* — one structured array per core
-   per record kind — and run the same statistics on it, vectorized;
+7. inspect the *columnar store* every producer builds — one
+   structured array per core per record kind — and reload it from the
+   indexed file;
 8. write the *memory-mapped columnar cache* (the ``.ostc`` sidecar)
    and reopen the trace through it: the second open maps the arrays
    back instead of re-parsing, so an interactive session restarts in
@@ -127,19 +128,15 @@ def main(output_dir="."):
                   scan.bytes_read / os.path.getsize(indexed_path)))
 
     # 7. The columnar store: the paper's "one array per core and per
-    #    type of event" as numpy structured arrays.  Conversion is
-    #    lossless both ways, files load straight into it, and every
-    #    analysis accepts either store with identical results.
-    columnar = trace.to_columnar()
-    print("\ncolumnar store:", repr(columnar))
+    #    type of event" as numpy structured arrays.  The simulator and
+    #    every reader build this one store, so a reload holds exactly
+    #    the records that were written.
+    print("\ncolumnar store:", repr(trace))
     print("core 0 executed {} tasks, first lane entry: {}".format(
-        len(columnar.tasks.lane(0)), columnar.tasks.lane(0)[:1]))
-    same = interval_report(columnar).describe() \
-        == interval_report(trace).describe()
-    print("columnar statistics identical to object statistics:", same)
-    reloaded_columnar = read_trace(indexed_path, columnar=True)
-    print("columnar reload matches conversion:",
-          traces_equal(reloaded_columnar, columnar))
+        len(trace.tasks.lane(0)), trace.tasks.lane(0)[:1]))
+    reloaded = read_trace(indexed_path)
+    print("reload holds the written records:",
+          traces_equal(reloaded, trace))
 
     # 8. The memory-mapped columnar cache: the first cache-enabled
     #    open parses once and writes the .ostc sidecar; every later
@@ -151,7 +148,7 @@ def main(output_dir="."):
     reopen_ms = 1e3 * (time.perf_counter() - t0)
     print("\nmapped cache sidecar:", default_cache_path(indexed_path))
     print("cache reopen in {:.1f} ms; matches parsed store: {}".format(
-        reopen_ms, traces_equal(mapped, columnar)))
+        reopen_ms, traces_equal(mapped, reloaded)))
     window = mapped.slice_time_window(trace.begin,
                                       trace.begin + trace.duration // 10)
     print("zero-copy 10% window: {} tasks".format(len(window.tasks)))

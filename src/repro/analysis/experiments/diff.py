@@ -2,7 +2,7 @@
 
 Comparative performance debugging needs a machine answer to "did this
 run get worse, and where?".  :func:`diff_traces` compares two loaded
-traces (either store) metric by metric and reports every deviation
+traces (in memory or mapped) metric by metric and reports every deviation
 that exceeds its tolerance:
 
 * **state-time deltas** — per-state cycle totals (the Fig. 13 state
@@ -273,11 +273,10 @@ def diff_traces(baseline, candidate, tolerances=None,
                 bins=DISTRIBUTION_BINS):
     """Compare two loaded traces; returns a :class:`TraceDiffReport`.
 
-    Both arguments accept either store (:class:`~repro.core.trace.
-    Trace` or :class:`~repro.core.columnar.ColumnarTrace`, including
-    memory-mapped ones).  Every reported deviation *strictly* exceeds
-    its tolerance, so identical traces produce an empty report at any
-    tolerance setting.
+    Both arguments are :class:`~repro.core.columnar.ColumnarTrace`
+    stores, in memory or memory-mapped.  Every reported deviation
+    *strictly* exceeds its tolerance, so identical traces produce an
+    empty report at any tolerance setting.
     """
     tolerances = DiffTolerances() if tolerances is None else tolerances
     scalars = [
@@ -311,14 +310,9 @@ def diff_trace_files(baseline_path, candidate_path, tolerances=None,
     mapped columnar cache (``cache=True``) so repeated gate runs map
     pages instead of re-parsing."""
     from ...trace_format import read_trace
-
-    def load(path):
-        if cache:
-            return read_trace(str(path), cache=True)
-        return read_trace(str(path), columnar=True)
-
     return diff_traces(
-        load(baseline_path), load(candidate_path),
+        read_trace(str(baseline_path), cache=bool(cache)),
+        read_trace(str(candidate_path), cache=bool(cache)),
         tolerances=tolerances,
         baseline_name=os.path.basename(str(baseline_path)),
         candidate_name=os.path.basename(str(candidate_path)),

@@ -7,7 +7,7 @@ Wires workloads, run-time configurations and tracing together:
   random data placement) and *optimized* (NUMA-aware scheduler and
   allocator with first-touch placement).
 * :func:`seidel_trace` / :func:`kmeans_trace` run a workload under a
-  configuration and return ``(SimResult, Trace)``.
+  configuration and return ``(SimResult, ColumnarTrace)``.
 
 Scaling: the paper's machines and inputs are too large to simulate in
 seconds, so the default shapes here are scaled down while preserving

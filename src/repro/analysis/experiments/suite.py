@@ -192,7 +192,8 @@ class TraceSummary:
 
 def summarize_trace(trace, name="", path="", params=None,
                     histogram_bins=16, graph=True):
-    """Fold one loaded trace (either store) into a :class:`TraceSummary`.
+    """Fold one loaded trace (in memory or mapped) into a
+    :class:`TraceSummary`.
 
     This is the per-worker map step of :func:`analyze_traces`: the
     vectorized statistics, the anomaly scan, the task-duration
@@ -308,10 +309,7 @@ def _summarize_path(job):
     path, name, params, cache = job
     try:
         from ...trace_format import read_trace
-        if cache:
-            trace = read_trace(path, cache=True)
-        else:
-            trace = read_trace(path, columnar=True)
+        trace = read_trace(path, cache=bool(cache))
         return ("ok", summarize_trace(trace, name=name, path=path,
                                       params=params))
     except Exception as error:

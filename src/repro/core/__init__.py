@@ -6,7 +6,8 @@ tables and annotations.
 """
 
 from .annotations import Annotation, AnnotationStore
-from .columnar import ColumnarBuilder, ColumnarTrace, LaneStack, traces_equal
+from .columnar import (ColumnarTrace, LaneStack, RegionLookup,
+                       merge_counter_series, traces_equal)
 from .anomalies import (Anomaly, CounterCorrelation, correlate_counters,
                         detect_duration_outliers,
                         detect_frequency_throttling, detect_idle_phases,
@@ -55,7 +56,7 @@ from .selection import (DataEndpoint, TaskDetails, describe_selection,
 from .symbols import Symbol, SymbolTable, resolve_task, symbols_from_trace
 from .taskgraph import (TaskGraph, export_dot, graph_from_program,
                         reconstruct_task_graph, to_networkx)
-from .trace import RegionLookup, Trace, TraceBuilder, merge_counter_series
+from .trace import TraceBuilder
 
 __all__ = [
     "Annotation", "AnnotationStore", "Anomaly", "CounterCorrelation",
@@ -95,7 +96,7 @@ __all__ = [
     "Symbol", "SymbolTable",
     "resolve_task", "symbols_from_trace", "TaskGraph", "export_dot",
     "graph_from_program", "reconstruct_task_graph", "to_networkx",
-    "Trace", "TraceBuilder", "merge_counter_series",
-    "ColumnarBuilder", "ColumnarTrace", "LaneStack", "traces_equal",
+    "TraceBuilder", "merge_counter_series",
+    "ColumnarTrace", "LaneStack", "traces_equal",
     "RegionLookup",
 ]

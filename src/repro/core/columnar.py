@@ -1,4 +1,4 @@
-"""Columnar event store: one structured array per core per record kind.
+"""The in-memory trace store: one structured array per core per kind.
 
 This is the literal data layout of Section VI-B-c — "one array per core
 and per type of event, sorted by timestamp" — realized as numpy
@@ -9,33 +9,33 @@ per ``(core, counter)`` pair for counter samples.  Every lane is sorted
 by timestamp, so interval queries are two binary searches away and all
 statistics run as vectorized array passes.
 
-The store is convertible both ways from the object model:
+It is the only trace store: the simulator, the trace-file readers, the
+Paraver/Chrome importers, time windows, corruption salvage and the
+memory-mapped ``.ostc`` sidecar all produce a :class:`ColumnarTrace`.
+This module is the one place that knows the layout:
 
-* :meth:`Trace.to_columnar` / :meth:`ColumnarTrace.from_trace` — wrap
-  an existing :class:`~repro.core.trace.Trace`;
-* :meth:`ColumnarTrace.to_objects` — rebuild the :class:`Trace`;
-* :class:`ColumnarBuilder` — fill the arrays directly while reading a
-  trace file (``read_trace(path, columnar=True)``), never
-  materializing per-event objects;
-* :func:`traces_equal` — order-insensitive equality between any two
+* :meth:`ColumnarTrace.from_columns` — split flat record columns into
+  per-core sorted lanes (what
+  :meth:`repro.core.trace.TraceBuilder.build` calls);
+* :meth:`ColumnarTrace.slice_time_window` — a zero-copy sub-trace;
+* :func:`merge_counter_series` — join the counters of a second trace;
+* :func:`traces_equal` — order-insensitive equality between two
   stores, the oracle of the round-trip property tests.
 
-Compatibility: :class:`ColumnarTrace` exposes the same duck-typed
-surface the analysis layer uses on :class:`Trace` (``.states.columns``,
-``core_column``, ``.comm``, ``.accesses``, ``.counter_series``,
-``nodes_of_addresses``, the dataclass iterators), so every entry point
-in :mod:`repro.core.statistics`, :mod:`repro.core.metrics`,
-:mod:`repro.core.filters`, :mod:`repro.core.index` and
-:mod:`repro.render.timeline` accepts either store unchanged — the
-parity tests in ``tests/test_columnar_parity.py`` pin that down.
+Besides the lanes, the store offers the concatenated views the
+vectorized analyses use (``.states.columns``, ``core_column``,
+``.comm``, ``.accesses``, ``.counter_series``) and per-event dataclass
+iterators for the plain-Python reference implementations in
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .events import (CommEvent, CounterDescription, DiscreteEvent,
+                     MemoryAccess, StateInterval, TaskExecution)
 from .index import interval_slice, point_slice
-from .trace import EventViewMixin, RegionLookup, Trace, TraceBuilder
 
 #: One record per worker-state interval of one core.
 STATE_DTYPE = np.dtype([("state", np.int64), ("start", np.int64),
@@ -58,13 +58,103 @@ COUNTER_DTYPE = np.dtype([("timestamp", np.int64),
                           ("value", np.float64)])
 
 
+class RegionLookup:
+    """Address -> region / NUMA-node lookup over the placement table.
+
+    The trace file stores placement once per region (Section VI-A);
+    this index answers "which node holds this address" for single
+    addresses and, vectorized, for whole access columns.
+    """
+
+    def __init__(self, regions):
+        self.regions = sorted(regions, key=lambda region: region.address)
+        self._starts = np.asarray(
+            [region.address for region in self.regions], dtype=np.int64)
+        self._built = False
+
+    def _build(self):
+        page_offsets = [0]
+        pages = []
+        for region in self.regions:
+            pages.extend(region.page_nodes)
+            page_offsets.append(len(pages))
+        self._page_nodes_flat = np.asarray(pages, dtype=np.int64)
+        self._page_offsets = np.asarray(page_offsets, dtype=np.int64)
+        self._page_counts = np.asarray(
+            [len(region.page_nodes) for region in self.regions],
+            dtype=np.int64)
+        self._ends = np.asarray(
+            [region.end for region in self.regions], dtype=np.int64)
+        self._built = True
+
+    def region_of(self, address):
+        """The :class:`RegionInfo` containing ``address`` or ``None``."""
+        if not self.regions:
+            return None
+        position = int(np.searchsorted(self._starts, address,
+                                       side="right")) - 1
+        if position < 0:
+            return None
+        region = self.regions[position]
+        if region.address <= address < region.end:
+            return region
+        return None
+
+    def node_of_address(self, address):
+        """NUMA node holding ``address``, or ``None`` outside regions.
+
+        Pages past the end of a region's placement table count as never
+        physically allocated, like explicit ``-1`` entries.
+        """
+        region = self.region_of(address)
+        if region is None:
+            return None
+        page = (address - region.address) // 4096
+        if page >= len(region.page_nodes):
+            return None
+        node = region.page_nodes[page]
+        return None if node < 0 else node
+
+    def nodes_of_addresses(self, addresses):
+        """Vectorized :meth:`node_of_address`: NUMA node per address.
+
+        Returns an int array; addresses outside any region (or on pages
+        that were never physically allocated) map to -1.  The flattened
+        page-placement index is built on first use and cached.
+        """
+        if not self._built:
+            self._build()
+        addresses = np.asarray(addresses, dtype=np.int64)
+        result = np.full(len(addresses), -1, dtype=np.int64)
+        if not self.regions or len(addresses) == 0:
+            return result
+        position = np.searchsorted(self._starts, addresses,
+                                   side="right") - 1
+        valid = position >= 0
+        clipped = np.clip(position, 0, None)
+        valid &= addresses < self._ends[clipped]
+        if not valid.any():
+            return result
+        region_index = clipped[valid]
+        page = (addresses[valid]
+                - self._starts[region_index]) // 4096
+        # Pages past a region's placement table were never physically
+        # allocated — same as explicit -1 entries.
+        placed = page < self._page_counts[region_index]
+        nodes = np.full(len(region_index), -1, dtype=np.int64)
+        nodes[placed] = self._page_nodes_flat[
+            self._page_offsets[region_index[placed]] + page[placed]]
+        result[valid] = nodes
+        return result
+
+
 class LaneStack:
     """One sorted structured array per core for one record kind.
 
     ``lane(core)`` is the per-core array itself (zero-copy field
     access); ``columns`` / ``core_column`` / ``core_slice`` present the
-    same view :class:`~repro.core.trace.PerCoreEvents` offers, so the
-    vectorized analyses run on either store.  The synthesized
+    concatenated core-major view the vectorized analyses run on.  The
+    synthesized
     ``core_name`` column (the lane index) exists only in these views —
     the lanes themselves never store it.
     """
@@ -98,8 +188,8 @@ class LaneStack:
 
     @property
     def columns(self):
-        """Concatenated (core-major, per-core sorted) column dict —
-        exactly the layout :class:`Trace` keeps.  Built lazily."""
+        """Concatenated (core-major, per-core sorted) column dict.
+        Built lazily."""
         if self._columns is None:
             lengths = [len(lane) for lane in self.lanes]
             columns = {}
@@ -118,34 +208,23 @@ class LaneStack:
         return self._columns
 
 
-def _lane_from_columns(columns, selection, dtype):
-    """A structured array from a slice/index of parallel columns."""
-    reference = columns[dtype.names[0]][selection]
-    lane = np.empty(len(reference), dtype=dtype)
-    lane[dtype.names[0]] = reference
-    for name in dtype.names[1:]:
-        lane[name] = columns[name][selection]
-    return lane
-
-
 def _split_by_core(columns, core_key, sort_key, num_cores, dtype):
     """Per-core sorted lanes from flat columns (stable in ties)."""
     order = np.lexsort((columns[sort_key], columns[core_key]))
-    ordered = {name: values[order] for name, values in columns.items()}
-    offsets = np.searchsorted(ordered[core_key],
+    offsets = np.searchsorted(columns[core_key][order],
                               np.arange(num_cores + 1))
-    return [_lane_from_columns(
-                ordered, slice(int(offsets[core]), int(offsets[core + 1])),
-                dtype)
-            for core in range(num_cores)]
+    lanes = []
+    for core in range(num_cores):
+        rows = order[int(offsets[core]):int(offsets[core + 1])]
+        lane = np.empty(len(rows), dtype=dtype)
+        for name in dtype.names:
+            lane[name] = columns[name][rows]
+        lanes.append(lane)
+    return lanes
 
 
-class ColumnarTrace(EventViewMixin):
-    """An immutable trace stored as per-core sorted structured arrays.
-
-    The object-model views (dataclass iterators, ``task_by_id``,
-    region lookups, ``counter_samples``) come from the shared
-    :class:`~repro.core.trace.EventViewMixin`."""
+class ColumnarTrace:
+    """An immutable trace stored as per-core sorted structured arrays."""
 
     def __init__(self, topology, states, tasks, discrete, comm, accesses,
                  counter_lanes, counter_descriptions, task_types, regions,
@@ -176,6 +255,12 @@ class ColumnarTrace(EventViewMixin):
         self._comm = None
         self._accesses = None
         self._counter_series = None
+        self._task_index = None
+        # Lazily built render structures (see minmax_tree, state_index
+        # and state_tiles).
+        self._minmax_trees = {}
+        self._state_indexes = {}
+        self._state_tiles = {}
         # ``time_bounds`` lets a memory-mapped open skip the bounds
         # scan (which would fault in every page of the interval lanes);
         # the cache header stores the bounds instead.
@@ -183,6 +268,42 @@ class ColumnarTrace(EventViewMixin):
             self.begin, self.end = self._time_bounds()
         else:
             self.begin, self.end = int(time_bounds[0]), int(time_bounds[1])
+
+    @classmethod
+    def from_columns(cls, topology, states, tasks, discrete, comm,
+                     accesses, counter_series, counter_descriptions,
+                     task_types, regions):
+        """Assemble the store from flat, unsorted record columns.
+
+        Each event argument is a dict of equal-length int64 arrays
+        keyed by the :class:`LaneStack` column names; records are split
+        by core and sorted by timestamp (stable in ties).
+        ``counter_series`` maps ``(core, counter_id)`` to unsorted
+        ``(timestamps, values)`` arrays.
+        """
+        num_cores = topology.num_cores
+        counter_lanes = {}
+        for key, (timestamps, values) in counter_series.items():
+            order = np.argsort(timestamps, kind="stable")
+            lane = np.empty(len(timestamps), dtype=COUNTER_DTYPE)
+            lane["timestamp"] = timestamps[order]
+            lane["value"] = values[order]
+            counter_lanes[key] = lane
+        return cls(
+            topology=topology,
+            states=_split_by_core(states, "core", "start", num_cores,
+                                  STATE_DTYPE),
+            tasks=_split_by_core(tasks, "core", "start", num_cores,
+                                 TASK_DTYPE),
+            discrete=_split_by_core(discrete, "core", "timestamp",
+                                    num_cores, DISCRETE_DTYPE),
+            comm=_split_by_core(comm, "src_core", "timestamp", num_cores,
+                                COMM_DTYPE),
+            accesses=_split_by_core(accesses, "core", "timestamp",
+                                    num_cores, ACCESS_DTYPE),
+            counter_lanes=counter_lanes,
+            counter_descriptions=counter_descriptions,
+            task_types=task_types, regions=regions)
 
     # -- global properties --------------------------------------------
     @property
@@ -210,11 +331,11 @@ class ColumnarTrace(EventViewMixin):
             return 0, 0
         return min(begin), max(end)
 
-    # -- Trace-compatible global views --------------------------------
+    # -- global views -------------------------------------------------
     @property
     def comm(self):
         """Communication events as one global, time-sorted column dict
-        (the layout of :attr:`Trace.comm`)."""
+        (ties ordered by source core)."""
         if self._comm is None:
             columns = self.comm_lanes.columns
             order = np.argsort(columns["timestamp"], kind="stable")
@@ -224,8 +345,7 @@ class ColumnarTrace(EventViewMixin):
 
     @property
     def accesses(self):
-        """Memory accesses as one task-sorted column dict (the layout
-        of :attr:`Trace.accesses`)."""
+        """Memory accesses as one task-sorted column dict."""
         if self._accesses is None:
             columns = self.access_lanes.columns
             order = np.argsort(columns["task_id"], kind="stable")
@@ -234,6 +354,17 @@ class ColumnarTrace(EventViewMixin):
         return self._accesses
 
     # -- counters -------------------------------------------------------
+    def counter_id(self, name):
+        """Counter id for a name (ids pass through unchanged)."""
+        for description in self.counter_descriptions:
+            if description.name == name:
+                return description.counter_id
+        raise KeyError("no counter named {!r}".format(name))
+
+    def counter_name(self, counter_id):
+        """Counter name for an id."""
+        return self.counter_descriptions[counter_id].name
+
     @property
     def counter_series(self):
         """``(core, counter_id) -> (timestamps, values)`` views."""
@@ -260,6 +391,200 @@ class ColumnarTrace(EventViewMixin):
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.float64))
         return lane["timestamp"], lane["value"]
+
+    def minmax_tree(self, core, counter_id, arity=None):
+        """The n-ary min/max tree of one counter on one core, memoized.
+
+        Section VI-B-c builds these once per (core, counter) at load
+        time; memoizing them on the store gives the same effect lazily:
+        the first frame of a counter overlay builds the tree, every
+        later zoom/pan frame reuses it.  Shared by
+        :class:`~repro.core.interval_tree.CounterIndex`,
+        :func:`~repro.render.counter_overlay.value_bounds` and the
+        vectorized render kernels.
+        """
+        from .interval_tree import DEFAULT_ARITY, MinMaxTree
+        arity = DEFAULT_ARITY if arity is None else arity
+        key = (core, counter_id, arity)
+        tree = self._minmax_trees.get(key)
+        if tree is None:
+            __, values = self.counter_samples(core, counter_id)
+            if self.pyramids is not None:
+                # A memory-mapped store serves the persisted pyramid
+                # levels instead of rebuilding the tree: first frame
+                # after reopen touches O(header) bytes, not the lane.
+                tree = self.pyramids.counter_tree(core, counter_id,
+                                                  values, arity)
+            if tree is None:
+                tree = MinMaxTree(values, arity=arity)
+            self._minmax_trees[key] = tree
+        return tree
+
+    def counter_columns(self, core, counter_id, view):
+        """Persisted pixel columns for a counter lane under ``view``,
+        or ``None`` when they cannot serve it.
+
+        A mapped store carries pre-rendered whole-trace columns at the
+        standard tile widths (written by the render kernel itself, so
+        they are bit-identical to rendering live).  They apply only to
+        a fit view — full time bounds, aggregated regime, persisted
+        width; anything else falls back to the kernel.  Returns the
+        ``(xs, vmins, vmaxs)`` triple the kernel would have produced.
+        """
+        if self.pyramids is None:
+            return None
+        if (view.start, view.end) != (self.begin, self.end):
+            return None
+        if view.duration < view.width:
+            return None
+        columns = self.pyramids.counter_columns(core, counter_id,
+                                                view.width)
+        if columns is None:
+            return None
+        vmins, vmaxs = columns
+        xs = np.flatnonzero(~np.isnan(vmins))
+        return xs, vmins[xs], vmaxs[xs]
+
+    def state_index(self, core):
+        """One core's exact per-state coverage index, memoized.
+
+        Served from the sidecar's persisted pyramid on memory-mapped
+        stores, built lazily from the state lane otherwise; ``None``
+        when the lane cannot be indexed (overlapping intervals within
+        a state), in which case rendering falls back to the reference
+        walk.  See :class:`repro.core.pyramid.StateIndex`.
+        """
+        from .pyramid import StateIndex
+        cache = self._state_indexes
+        if core in cache:
+            return cache[core]
+        index = None
+        if self.pyramids is not None:
+            index = self.pyramids.state_index(core)
+        if index is None:
+            index = StateIndex.build(
+                self.states.core_column(core, "start"),
+                self.states.core_column(core, "end"),
+                self.states.core_column(core, "state"))
+        cache[core] = index
+        return index
+
+    def state_tiles(self, core):
+        """One core's dominant-state + event-count tiles, memoized.
+
+        Served from the sidecar's persisted pyramid on memory-mapped
+        stores, built lazily otherwise; ``None`` when the lane cannot
+        be indexed.  See :class:`repro.core.pyramid.StateTiles`.
+        """
+        from .pyramid import build_state_tiles
+        cache = self._state_tiles
+        if core in cache:
+            return cache[core]
+        tiles = None
+        if self.pyramids is not None:
+            tiles = self.pyramids.state_tiles(core)
+        if tiles is None:
+            index = self.state_index(core)
+            if index is not None:
+                tiles = build_state_tiles(
+                    index, self.states.core_column(core, "start"),
+                    self.begin, self.end)
+        cache[core] = tiles
+        return tiles
+
+    # -- per-event dataclass views ------------------------------------
+    def task_by_id(self, task_id):
+        """The :class:`TaskExecution` for a task id (raises
+        ``KeyError``).  The id -> row index is built on first use."""
+        index = self._task_index
+        if index is None:
+            ids = self.tasks.columns["task_id"]
+            index = self._task_index = {
+                int(value): position
+                for position, value in enumerate(ids)}
+        position = index[task_id]
+        columns = self.tasks.columns
+        return TaskExecution(task_id=int(columns["task_id"][position]),
+                             type_id=int(columns["type_id"][position]),
+                             core=int(columns["core"][position]),
+                             start=int(columns["start"][position]),
+                             end=int(columns["end"][position]))
+
+    def task_executions(self):
+        """Iterate all task executions (analysis convenience)."""
+        columns = self.tasks.columns
+        for position in range(len(self.tasks)):
+            yield TaskExecution(task_id=int(columns["task_id"][position]),
+                                type_id=int(columns["type_id"][position]),
+                                core=int(columns["core"][position]),
+                                start=int(columns["start"][position]),
+                                end=int(columns["end"][position]))
+
+    def state_intervals(self):
+        """Iterate :class:`StateInterval` dataclasses (optionally one core)."""
+        columns = self.states.columns
+        for position in range(len(self.states)):
+            yield StateInterval(core=int(columns["core"][position]),
+                                state=int(columns["state"][position]),
+                                start=int(columns["start"][position]),
+                                end=int(columns["end"][position]))
+
+    def discrete_events(self):
+        """Iterate :class:`DiscreteEvent` dataclasses (optionally one core)."""
+        columns = self.discrete.columns
+        for position in range(len(self.discrete)):
+            yield DiscreteEvent(core=int(columns["core"][position]),
+                                kind=int(columns["kind"][position]),
+                                timestamp=int(
+                                    columns["timestamp"][position]),
+                                payload=int(columns["payload"][position]))
+
+    def comm_events(self):
+        """Iterate :class:`CommEvent` dataclasses (optionally one source
+        core)."""
+        columns = self.comm
+        for position in range(len(columns["timestamp"])):
+            yield CommEvent(src_core=int(columns["src_core"][position]),
+                            dst_core=int(columns["dst_core"][position]),
+                            timestamp=int(columns["timestamp"][position]),
+                            size=int(columns["size"][position]),
+                            task_id=int(columns["task_id"][position]))
+
+    def memory_accesses(self):
+        """Iterate :class:`MemoryAccess` dataclasses (optionally one task)."""
+        columns = self.accesses
+        for position in range(len(columns["task_id"])):
+            yield MemoryAccess(
+                task_id=int(columns["task_id"][position]),
+                core=int(columns["core"][position]),
+                address=int(columns["address"][position]),
+                size=int(columns["size"][position]),
+                is_write=bool(columns["is_write"][position]),
+                timestamp=int(columns["timestamp"][position]))
+
+    # -- task accesses ----------------------------------------------------
+    def task_accesses(self, task_id):
+        """Column slices of the memory accesses of one task."""
+        ids = self.accesses["task_id"]
+        lo = int(np.searchsorted(ids, task_id, side="left"))
+        hi = int(np.searchsorted(ids, task_id, side="right"))
+        return {name: values[lo:hi]
+                for name, values in self.accesses.items()}
+
+    # -- memory regions -----------------------------------------------
+    def region_of(self, address):
+        """The :class:`RegionInfo` containing ``address`` or ``None``."""
+        return self._region_lookup.region_of(address)
+
+    def node_of_address(self, address):
+        """NUMA node holding ``address`` (via the region placement
+        table), or ``None`` for addresses outside any known region."""
+        return self._region_lookup.node_of_address(address)
+
+    def nodes_of_addresses(self, addresses):
+        """Vectorized :meth:`node_of_address` (see
+        :meth:`RegionLookup.nodes_of_addresses`)."""
+        return self._region_lookup.nodes_of_addresses(addresses)
 
     # -- zero-copy window slicing -------------------------------------
     def slice_time_window(self, start, end):
@@ -309,105 +634,55 @@ class ColumnarTrace(EventViewMixin):
                     len(self.access_lanes),
                     len(self.counter_descriptions)))
 
-    # -- conversions ------------------------------------------------------
-    @classmethod
-    def from_trace(cls, trace):
-        """Re-layout a :class:`Trace` into per-core structured arrays."""
-        num_cores = trace.num_cores
-        states = [_lane_from_columns(trace.states.columns,
-                                     trace.states.core_slice(core),
-                                     STATE_DTYPE)
-                  for core in range(num_cores)]
-        tasks = [_lane_from_columns(trace.tasks.columns,
-                                    trace.tasks.core_slice(core),
-                                    TASK_DTYPE)
-                 for core in range(num_cores)]
-        discrete = [_lane_from_columns(trace.discrete.columns,
-                                       trace.discrete.core_slice(core),
-                                       DISCRETE_DTYPE)
-                    for core in range(num_cores)]
-        comm = _split_by_core(trace.comm, "src_core", "timestamp",
-                              num_cores, COMM_DTYPE)
-        accesses = _split_by_core(trace.accesses, "core", "timestamp",
-                                  num_cores, ACCESS_DTYPE)
-        counter_lanes = {}
-        for key, (timestamps, values) in trace.counter_series.items():
-            lane = np.empty(len(timestamps), dtype=COUNTER_DTYPE)
-            lane["timestamp"] = timestamps
-            lane["value"] = values
-            counter_lanes[key] = lane
-        return cls(topology=trace.topology, states=states, tasks=tasks,
-                   discrete=discrete, comm=comm, accesses=accesses,
-                   counter_lanes=counter_lanes,
-                   counter_descriptions=trace.counter_descriptions,
-                   task_types=trace.task_types, regions=trace.regions)
 
-    def to_objects(self):
-        """Rebuild the object-model :class:`Trace` (lossless)."""
-        counter_series = {key: (lane["timestamp"].copy(),
-                                lane["value"].copy())
-                          for key, lane in self.counter_lanes.items()}
-        return Trace(topology=self.topology,
-                     states=dict(self.states.columns),
-                     tasks=dict(self.tasks.columns),
-                     discrete=dict(self.discrete.columns),
-                     comm=dict(self.comm),
-                     accesses=dict(self.accesses),
-                     counter_series=counter_series,
-                     counter_descriptions=list(self.counter_descriptions),
-                     task_types=list(self.task_types),
-                     regions=list(self.regions))
+def merge_counter_series(main, aux, counters=None):
+    """Merge counter series of a second trace into a new trace.
 
+    The paper collects ``getrusage`` statistics in a *separate* trace
+    because concurrent calls to the function perturb the run
+    (Section III-B); the analysis then needs the auxiliary counters
+    joined with the main trace.  This returns a new
+    :class:`ColumnarTrace` carrying ``main``'s events plus the selected
+    ``counters`` (names; default: all) from ``aux``, re-numbered to
+    avoid id collisions.
+    Name clashes get an ``aux:`` prefix.
 
-class ColumnarBuilder(TraceBuilder):
-    """Append-only accumulator that assembles a :class:`ColumnarTrace`.
-
-    Inherits every record method from
-    :class:`~repro.core.trace.TraceBuilder` — the two builders cannot
-    drift apart — with one difference: the topology may arrive at any
-    time before :meth:`build` (trace files allow static records
-    anywhere), via the constructor or :meth:`set_topology`.
+    Both traces must describe the same machine.
     """
-
-    def __init__(self, topology=None):
-        super().__init__(topology)
-
-    def set_topology(self, topology):
-        """Install the topology (any time before :meth:`build`)."""
-        self.topology = topology
-
-    def build(self):
-        """Assemble the per-core sorted lanes into a :class:`ColumnarTrace`."""
-        if self.topology is None:
-            raise ValueError("cannot build a trace without a topology")
-        num_cores = self.topology.num_cores
-        counter_lanes = {}
-        for key, times in self._counter_times.items():
-            timestamps = np.asarray(times, dtype=np.int64)
-            values = np.asarray(self._counter_values[key],
-                                dtype=np.float64)
-            order = np.argsort(timestamps, kind="stable")
-            lane = np.empty(len(timestamps), dtype=COUNTER_DTYPE)
-            lane["timestamp"] = timestamps[order]
-            lane["value"] = values[order]
-            counter_lanes[key] = lane
-        return ColumnarTrace(
-            topology=self.topology,
-            states=_split_by_core(self._states.to_numpy(), "core",
-                                  "start", num_cores, STATE_DTYPE),
-            tasks=_split_by_core(self._tasks.to_numpy(), "core", "start",
-                                 num_cores, TASK_DTYPE),
-            discrete=_split_by_core(self._discrete.to_numpy(), "core",
-                                    "timestamp", num_cores,
-                                    DISCRETE_DTYPE),
-            comm=_split_by_core(self._comm.to_numpy(), "src_core",
-                                "timestamp", num_cores, COMM_DTYPE),
-            accesses=_split_by_core(self._accesses.to_numpy(), "core",
-                                    "timestamp", num_cores, ACCESS_DTYPE),
-            counter_lanes=counter_lanes,
-            counter_descriptions=list(self.counter_descriptions),
-            task_types=list(self.task_types),
-            regions=list(self.regions))
+    if (aux.topology.num_nodes != main.topology.num_nodes
+            or aux.topology.cores_per_node
+            != main.topology.cores_per_node):
+        raise ValueError("traces describe different machines")
+    wanted = ({description.name
+               for description in aux.counter_descriptions}
+              if counters is None else set(counters))
+    existing = {description.name
+                for description in main.counter_descriptions}
+    descriptions = list(main.counter_descriptions)
+    lanes = dict(main.counter_lanes)
+    id_map = {}
+    for description in aux.counter_descriptions:
+        if description.name not in wanted:
+            continue
+        name = description.name
+        if name in existing:
+            name = "aux:" + name
+        new_id = len(descriptions)
+        id_map[description.counter_id] = new_id
+        descriptions.append(CounterDescription(
+            counter_id=new_id, name=name,
+            monotone=description.monotone))
+    for (core, counter_id), lane in aux.counter_lanes.items():
+        if counter_id in id_map:
+            lanes[(core, id_map[counter_id])] = lane
+    return ColumnarTrace(topology=main.topology,
+                         states=main.states.lanes, tasks=main.tasks.lanes,
+                         discrete=main.discrete.lanes,
+                         comm=main.comm_lanes.lanes,
+                         accesses=main.access_lanes.lanes,
+                         counter_lanes=lanes,
+                         counter_descriptions=descriptions,
+                         task_types=main.task_types, regions=main.regions)
 
 
 def _canonical_columns(columns):
@@ -431,9 +706,8 @@ def _columns_equal(left, right):
 def traces_equal(left, right):
     """Whether two trace stores hold exactly the same records.
 
-    Accepts any mix of :class:`Trace` and :class:`ColumnarTrace`.
-    Event comparison is order-insensitive within the orderings both
-    stores are free to choose (ties in the per-core / per-key sorts);
+    Event comparison is order-insensitive within the orderings a
+    store is free to choose (ties in the per-core / per-key sorts);
     values must match exactly, including counter-sample floats.
     """
     if left.topology != right.topology:

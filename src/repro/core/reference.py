@@ -1,16 +1,16 @@
-"""Object-model reference implementations of the statistics views.
+"""Dataclass-walk reference implementations of the statistics views.
 
 Every function here computes a statistic by iterating the per-event
-dataclasses (:meth:`Trace.state_intervals`,
-:meth:`Trace.task_executions`, ...) in plain Python — no vectorization,
-no cleverness.  They are the *executable specification* of the
-vectorized implementations in :mod:`repro.core.statistics`:
+dataclasses (:meth:`~repro.core.columnar.ColumnarTrace.state_intervals`,
+:meth:`~repro.core.columnar.ColumnarTrace.task_executions`, ...) in
+plain Python — no vectorization, no cleverness.  They are the
+*executable specification* of the vectorized implementations in
+:mod:`repro.core.statistics`:
 
 * the parity tests (``tests/test_columnar_parity.py``) assert the
-  vectorized results are exactly equal to these, on both the object
-  store (:class:`~repro.core.trace.Trace`) and the columnar store
-  (:class:`~repro.core.columnar.ColumnarTrace`);
-* the benchmarks use them as the object-model baseline the columnar
+  vectorized results are exactly equal to these, on a store built in
+  memory and on the same store mapped back from its ``.ostc`` sidecar;
+* the benchmarks use them as the per-event baseline the columnar
   hot paths are measured against
   (``benchmarks/bench_ext_outofcore.py``).
 

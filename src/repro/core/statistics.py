@@ -202,7 +202,7 @@ def interval_report(trace, start=None, end=None):
 # --- out-of-core entry points -----------------------------------------------
 #
 # The same statistical views, computed from a trace *file* instead of a
-# loaded Trace, in bounded memory.  Imports are deferred because
+# loaded trace, in bounded memory.  Imports are deferred because
 # repro.analysis builds on repro.trace_format, which builds on this
 # package.
 
@@ -231,9 +231,9 @@ def interval_report_out_of_core(path, start=None, end=None,
     the chunk index when present, streaming otherwise) and assembles
     the normal :class:`IntervalReport` from the small in-memory window.
     Omitted bounds are filled from a constant-memory statistics pass.
-    ``columnar=True`` assembles the window as a
-    :class:`~repro.core.columnar.ColumnarTrace` — every statistic here
-    accepts either store, so the report is identical.
+    ``columnar`` has no effect: the window is always a
+    :class:`~repro.core.columnar.ColumnarTrace`.  It is still accepted
+    because existing callers pass it.
     """
     from ..trace_format.streaming import (split_time_window,
                                           streaming_statistics)
@@ -241,5 +241,5 @@ def interval_report_out_of_core(path, start=None, end=None,
         bounds = streaming_statistics(path)
         start = bounds.begin if start is None else start
         end = bounds.end if end is None else end
-    window = split_time_window(path, start, end, columnar=columnar)
+    window = split_time_window(path, start, end)
     return interval_report(window, start, end)

@@ -1,18 +1,17 @@
-"""In-memory trace representation.
+"""Building the in-memory trace.
 
 Aftermath keeps simple, efficient data structures for traces
 (Section VI-B-c): *one array per core and per type of event, sorted by
 timestamp*, so that the events of any time interval can be found with a
-binary search.  This module provides:
+binary search.  :class:`TraceBuilder` is the append-only accumulator
+that fills them — used by the run-time tracer, the trace-file readers
+and the foreign-format importers.  Columns are ``array.array``
+buffers, so building million-event traces does not allocate millions
+of Python objects; :meth:`TraceBuilder.build` hands them to
+:meth:`repro.core.columnar.ColumnarTrace.from_columns`, which owns the
+per-core layout.
 
-* :class:`TraceBuilder` — an append-only, columnar accumulator used both
-  by the run-time tracer and by the trace-file reader.  Columns are
-  ``array.array`` buffers, so building million-event traces does not
-  allocate millions of Python objects.
-* :class:`Trace` — the immutable, numpy-backed, per-core-sorted trace
-  that every analysis and rendering component operates on.
-
-Records may be appended in any order; the builder sorts per core at
+Records may be appended in any order; the store sorts per core at
 :meth:`TraceBuilder.build` time.  (Trace *files* additionally guarantee
 per-core timestamp order, which makes this sort cheap — Section VI-A.)
 """
@@ -24,101 +23,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .events import (CommEvent, CounterDescription, DiscreteEvent,
-                     MemoryAccess, RegionInfo, StateInterval, TaskExecution,
-                     TaskTypeInfo)
-
-
-class RegionLookup:
-    """Address -> region / NUMA-node lookup over the placement table.
-
-    The trace file stores placement once per region (Section VI-A);
-    this index answers "which node holds this address" for single
-    addresses and, vectorized, for whole access columns.  Shared by
-    both trace stores (:class:`Trace` and
-    :class:`repro.core.columnar.ColumnarTrace`).
-    """
-
-    def __init__(self, regions):
-        self.regions = sorted(regions, key=lambda region: region.address)
-        self._starts = np.asarray(
-            [region.address for region in self.regions], dtype=np.int64)
-        self._built = False
-
-    def _build(self):
-        page_offsets = [0]
-        pages = []
-        for region in self.regions:
-            pages.extend(region.page_nodes)
-            page_offsets.append(len(pages))
-        self._page_nodes_flat = np.asarray(pages, dtype=np.int64)
-        self._page_offsets = np.asarray(page_offsets, dtype=np.int64)
-        self._page_counts = np.asarray(
-            [len(region.page_nodes) for region in self.regions],
-            dtype=np.int64)
-        self._ends = np.asarray(
-            [region.end for region in self.regions], dtype=np.int64)
-        self._built = True
-
-    def region_of(self, address):
-        """The :class:`RegionInfo` containing ``address`` or ``None``."""
-        if not self.regions:
-            return None
-        position = int(np.searchsorted(self._starts, address,
-                                       side="right")) - 1
-        if position < 0:
-            return None
-        region = self.regions[position]
-        if region.address <= address < region.end:
-            return region
-        return None
-
-    def node_of_address(self, address):
-        """NUMA node holding ``address``, or ``None`` outside regions.
-
-        Pages past the end of a region's placement table count as never
-        physically allocated, like explicit ``-1`` entries.
-        """
-        region = self.region_of(address)
-        if region is None:
-            return None
-        page = (address - region.address) // 4096
-        if page >= len(region.page_nodes):
-            return None
-        node = region.page_nodes[page]
-        return None if node < 0 else node
-
-    def nodes_of_addresses(self, addresses):
-        """Vectorized :meth:`node_of_address`: NUMA node per address.
-
-        Returns an int array; addresses outside any region (or on pages
-        that were never physically allocated) map to -1.  The flattened
-        page-placement index is built on first use and cached.
-        """
-        if not self._built:
-            self._build()
-        addresses = np.asarray(addresses, dtype=np.int64)
-        result = np.full(len(addresses), -1, dtype=np.int64)
-        if not self.regions or len(addresses) == 0:
-            return result
-        position = np.searchsorted(self._starts, addresses,
-                                   side="right") - 1
-        valid = position >= 0
-        clipped = np.clip(position, 0, None)
-        valid &= addresses < self._ends[clipped]
-        if not valid.any():
-            return result
-        region_index = clipped[valid]
-        page = (addresses[valid]
-                - self._starts[region_index]) // 4096
-        # Pages past a region's placement table were never physically
-        # allocated — same as explicit -1 entries.
-        placed = page < self._page_counts[region_index]
-        nodes = np.full(len(region_index), -1, dtype=np.int64)
-        nodes[placed] = self._page_nodes_flat[
-            self._page_offsets[region_index[placed]] + page[placed]]
-        result[valid] = nodes
-        return result
+from .columnar import ColumnarTrace
+from .events import CounterDescription, RegionInfo, TaskTypeInfo
 
 
 class _Columns:
@@ -141,9 +47,15 @@ class _Columns:
 
 
 class TraceBuilder:
-    """Accumulates trace records and assembles a :class:`Trace`."""
+    """Accumulates trace records and assembles a
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
-    def __init__(self, topology):
+    The topology may arrive at any time before :meth:`build` (trace
+    files allow static records anywhere): pass it to the constructor
+    or assign :attr:`topology` later.
+    """
+
+    def __init__(self, topology=None):
         self.topology = topology
         self._states = _Columns(("core", "state", "start", "end"))
         self._tasks = _Columns(("task_id", "type_id", "core", "start",
@@ -158,6 +70,7 @@ class TraceBuilder:
         self.counter_descriptions: List[CounterDescription] = []
         self.task_types: List[TaskTypeInfo] = []
         self.regions: List[RegionInfo] = []
+        self._placeholder_ids = set()
 
     # -- static records ---------------------------------------------------
     def describe_counter(self, name, monotone=True):
@@ -167,6 +80,28 @@ class TraceBuilder:
             CounterDescription(counter_id=counter_id, name=name,
                                monotone=monotone))
         return counter_id
+
+    def place_counter(self, description):
+        """Install a :class:`CounterDescription` in its id's slot.
+
+        Readers use this for descriptions that carry their own id and
+        may arrive in any order: gaps are padded with ``__unused_<id>``
+        placeholders that a later description fills.  Returns
+        ``False``, installing nothing, when the id is already
+        described.
+        """
+        counter_id = description.counter_id
+        while len(self.counter_descriptions) <= counter_id:
+            placeholder = len(self.counter_descriptions)
+            self._placeholder_ids.add(placeholder)
+            self.counter_descriptions.append(CounterDescription(
+                counter_id=placeholder,
+                name="__unused_{}".format(placeholder)))
+        if counter_id not in self._placeholder_ids:
+            return False
+        self._placeholder_ids.discard(counter_id)
+        self.counter_descriptions[counter_id] = description
+        return True
 
     def describe_task_type(self, info):
         """Register a :class:`TaskTypeInfo` static record."""
@@ -211,401 +146,22 @@ class TraceBuilder:
         self._counter_values[key].append(float(value))
 
     def build(self):
-        """Freeze the accumulated records into a :class:`Trace`."""
-        counter_series = {}
-        for key, times in self._counter_times.items():
-            timestamps = np.asarray(times, dtype=np.int64)
-            values = np.asarray(self._counter_values[key], dtype=np.float64)
-            order = np.argsort(timestamps, kind="stable")
-            counter_series[key] = (timestamps[order], values[order])
-        return Trace(topology=self.topology,
-                     states=self._states.to_numpy(),
-                     tasks=self._tasks.to_numpy(),
-                     discrete=self._discrete.to_numpy(),
-                     comm=self._comm.to_numpy(),
-                     accesses=self._accesses.to_numpy(),
-                     counter_series=counter_series,
-                     counter_descriptions=list(self.counter_descriptions),
-                     task_types=list(self.task_types),
-                     regions=list(self.regions))
-
-
-class EventViewMixin:
-    """Object-model views shared by the two trace stores.
-
-    Everything here is written against the duck-typed columnar surface
-    both stores provide — ``.states`` / ``.tasks`` / ``.discrete`` with
-    ``.columns``, the ``.comm`` / ``.accesses`` column dicts,
-    ``.counter_series``, ``.counter_descriptions`` and
-    ``._region_lookup`` — so :class:`Trace` and
-    :class:`repro.core.columnar.ColumnarTrace` share one
-    implementation and cannot drift apart.
-    """
-
-    # -- counters -------------------------------------------------------
-    def counter_id(self, name):
-        """Counter id for a name (ids pass through unchanged)."""
-        for description in self.counter_descriptions:
-            if description.name == name:
-                return description.counter_id
-        raise KeyError("no counter named {!r}".format(name))
-
-    def counter_name(self, counter_id):
-        """Counter name for an id."""
-        return self.counter_descriptions[counter_id].name
-
-    def counter_samples(self, core, counter_id):
-        """(timestamps, values) arrays for one counter on one core."""
-        empty = (np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.float64))
-        return self.counter_series.get((core, counter_id), empty)
-
-    def minmax_tree(self, core, counter_id, arity=None):
-        """The n-ary min/max tree of one counter on one core, memoized.
-
-        Section VI-B-c builds these once per (core, counter) at load
-        time; memoizing them on the store gives the same effect lazily:
-        the first frame of a counter overlay builds the tree, every
-        later zoom/pan frame reuses it.  Shared by
-        :class:`~repro.core.interval_tree.CounterIndex`,
-        :func:`~repro.render.counter_overlay.value_bounds` and the
-        vectorized render kernels.
-        """
-        from .interval_tree import DEFAULT_ARITY, MinMaxTree
-        arity = DEFAULT_ARITY if arity is None else arity
-        trees = getattr(self, "_minmax_trees", None)
-        if trees is None:
-            trees = {}
-            self._minmax_trees = trees
-        key = (core, counter_id, arity)
-        tree = trees.get(key)
-        if tree is None:
-            __, values = self.counter_samples(core, counter_id)
-            pyramids = getattr(self, "pyramids", None)
-            if pyramids is not None:
-                # A memory-mapped store serves the persisted pyramid
-                # levels instead of rebuilding the tree: first frame
-                # after reopen touches O(header) bytes, not the lane.
-                tree = pyramids.counter_tree(core, counter_id, values,
-                                             arity)
-            if tree is None:
-                tree = MinMaxTree(values, arity=arity)
-            trees[key] = tree
-        return tree
-
-    def counter_columns(self, core, counter_id, view):
-        """Persisted pixel columns for a counter lane under ``view``,
-        or ``None`` when they cannot serve it.
-
-        A mapped store carries pre-rendered whole-trace columns at the
-        standard tile widths (written by the render kernel itself, so
-        they are bit-identical to rendering live).  They apply only to
-        a fit view — full time bounds, aggregated regime, persisted
-        width; anything else falls back to the kernel.  Returns the
-        ``(xs, vmins, vmaxs)`` triple the kernel would have produced.
-        """
-        pyramids = getattr(self, "pyramids", None)
-        if pyramids is None:
-            return None
-        if (view.start, view.end) != (self.begin, self.end):
-            return None
-        if view.duration < view.width:
-            return None
-        columns = pyramids.counter_columns(core, counter_id, view.width)
-        if columns is None:
-            return None
-        vmins, vmaxs = columns
-        xs = np.flatnonzero(~np.isnan(vmins))
-        return xs, vmins[xs], vmaxs[xs]
-
-    def state_index(self, core):
-        """One core's exact per-state coverage index, memoized.
-
-        Served from the sidecar's persisted pyramid on memory-mapped
-        stores, built lazily from the state lane otherwise; ``None``
-        when the lane cannot be indexed (overlapping intervals within
-        a state), in which case rendering falls back to the reference
-        walk.  See :class:`repro.core.pyramid.StateIndex`.
-        """
-        from .pyramid import StateIndex
-        cache = getattr(self, "_state_indexes", None)
-        if cache is None:
-            cache = {}
-            self._state_indexes = cache
-        if core in cache:
-            return cache[core]
-        index = None
-        pyramids = getattr(self, "pyramids", None)
-        if pyramids is not None:
-            index = pyramids.state_index(core)
-        if index is None:
-            index = StateIndex.build(
-                self.states.core_column(core, "start"),
-                self.states.core_column(core, "end"),
-                self.states.core_column(core, "state"))
-        cache[core] = index
-        return index
-
-    def state_tiles(self, core):
-        """One core's dominant-state + event-count tiles, memoized.
-
-        Served from the sidecar's persisted pyramid on memory-mapped
-        stores, built lazily otherwise; ``None`` when the lane cannot
-        be indexed.  See :class:`repro.core.pyramid.StateTiles`.
-        """
-        from .pyramid import build_state_tiles
-        cache = getattr(self, "_state_tiles", None)
-        if cache is None:
-            cache = {}
-            self._state_tiles = cache
-        if core in cache:
-            return cache[core]
-        tiles = None
-        pyramids = getattr(self, "pyramids", None)
-        if pyramids is not None:
-            tiles = pyramids.state_tiles(core)
-        if tiles is None:
-            index = self.state_index(core)
-            if index is not None:
-                tiles = build_state_tiles(
-                    index, self.states.core_column(core, "start"),
-                    self.begin, self.end)
-        cache[core] = tiles
-        return tiles
-
-    # -- per-event dataclass views ------------------------------------
-    def task_by_id(self, task_id):
-        """The :class:`TaskExecution` for a task id (raises
-        ``KeyError``).  The id -> row index is built on first use."""
-        index = getattr(self, "_task_index", None)
-        if index is None:
-            ids = self.tasks.columns["task_id"]
-            index = self._task_index = {
-                int(value): position
-                for position, value in enumerate(ids)}
-        position = index[task_id]
-        columns = self.tasks.columns
-        return TaskExecution(task_id=int(columns["task_id"][position]),
-                             type_id=int(columns["type_id"][position]),
-                             core=int(columns["core"][position]),
-                             start=int(columns["start"][position]),
-                             end=int(columns["end"][position]))
-
-    def task_executions(self):
-        """Iterate all task executions (analysis convenience)."""
-        columns = self.tasks.columns
-        for position in range(len(self.tasks)):
-            yield TaskExecution(task_id=int(columns["task_id"][position]),
-                                type_id=int(columns["type_id"][position]),
-                                core=int(columns["core"][position]),
-                                start=int(columns["start"][position]),
-                                end=int(columns["end"][position]))
-
-    def state_intervals(self):
-        """Iterate :class:`StateInterval` dataclasses (optionally one core)."""
-        columns = self.states.columns
-        for position in range(len(self.states)):
-            yield StateInterval(core=int(columns["core"][position]),
-                                state=int(columns["state"][position]),
-                                start=int(columns["start"][position]),
-                                end=int(columns["end"][position]))
-
-    def discrete_events(self):
-        """Iterate :class:`DiscreteEvent` dataclasses (optionally one core)."""
-        columns = self.discrete.columns
-        for position in range(len(self.discrete)):
-            yield DiscreteEvent(core=int(columns["core"][position]),
-                                kind=int(columns["kind"][position]),
-                                timestamp=int(
-                                    columns["timestamp"][position]),
-                                payload=int(columns["payload"][position]))
-
-    def comm_events(self):
-        """Iterate :class:`CommEvent` dataclasses (optionally one source
-        core)."""
-        columns = self.comm
-        for position in range(len(columns["timestamp"])):
-            yield CommEvent(src_core=int(columns["src_core"][position]),
-                            dst_core=int(columns["dst_core"][position]),
-                            timestamp=int(columns["timestamp"][position]),
-                            size=int(columns["size"][position]),
-                            task_id=int(columns["task_id"][position]))
-
-    def memory_accesses(self):
-        """Iterate :class:`MemoryAccess` dataclasses (optionally one task)."""
-        columns = self.accesses
-        for position in range(len(columns["task_id"])):
-            yield MemoryAccess(
-                task_id=int(columns["task_id"][position]),
-                core=int(columns["core"][position]),
-                address=int(columns["address"][position]),
-                size=int(columns["size"][position]),
-                is_write=bool(columns["is_write"][position]),
-                timestamp=int(columns["timestamp"][position]))
-
-    # -- task accesses ----------------------------------------------------
-    def task_accesses(self, task_id):
-        """Column slices of the memory accesses of one task."""
-        ids = self.accesses["task_id"]
-        lo = int(np.searchsorted(ids, task_id, side="left"))
-        hi = int(np.searchsorted(ids, task_id, side="right"))
-        return {name: values[lo:hi]
-                for name, values in self.accesses.items()}
-
-    # -- memory regions -----------------------------------------------
-    def region_of(self, address):
-        """The :class:`RegionInfo` containing ``address`` or ``None``."""
-        return self._region_lookup.region_of(address)
-
-    def node_of_address(self, address):
-        """NUMA node holding ``address`` (via the region placement
-        table), or ``None`` for addresses outside any known region."""
-        return self._region_lookup.node_of_address(address)
-
-    def nodes_of_addresses(self, addresses):
-        """Vectorized :meth:`node_of_address` (see
-        :meth:`RegionLookup.nodes_of_addresses`)."""
-        return self._region_lookup.nodes_of_addresses(addresses)
-
-    # -- columnar store ---------------------------------------------------
-    def to_columnar(self):
-        """The per-core structured-array form of this trace (see
-        :mod:`repro.core.columnar`); a no-copy ``self`` when already
-        columnar."""
-        from .columnar import ColumnarTrace
-        if isinstance(self, ColumnarTrace):
-            return self
-        return ColumnarTrace.from_trace(self)
-
-
-class PerCoreEvents:
-    """Per-core views of a sorted columnar event table."""
-
-    def __init__(self, columns, core_column, sort_key, num_cores):
-        order = np.lexsort((columns[sort_key], columns[core_column]))
-        self.columns = {name: values[order]
-                        for name, values in columns.items()}
-        cores = self.columns[core_column]
-        # offsets[c]:offsets[c+1] is the slice of events of core c.
-        self.offsets = np.searchsorted(cores, np.arange(num_cores + 1))
-        self._sort_key = sort_key
-
-    def __len__(self):
-        return len(self.columns[self._sort_key])
-
-    def core_slice(self, core):
-        """Slice of the concatenated columns covering one core."""
-        return slice(int(self.offsets[core]), int(self.offsets[core + 1]))
-
-    def core_column(self, core, name):
-        """One column restricted to one core's events."""
-        return self.columns[name][self.core_slice(core)]
-
-
-class Trace(EventViewMixin):
-    """An immutable, indexed trace ready for analysis and rendering."""
-
-    def __init__(self, topology, states, tasks, discrete, comm, accesses,
-                 counter_series, counter_descriptions, task_types, regions):
-        self.topology = topology
-        num_cores = topology.num_cores
-        self.states = PerCoreEvents(states, "core", "start", num_cores)
-        self.tasks = PerCoreEvents(tasks, "core", "start", num_cores)
-        self.discrete = PerCoreEvents(discrete, "core", "timestamp",
-                                      num_cores)
-        order = np.argsort(comm["timestamp"], kind="stable")
-        self.comm = {name: values[order] for name, values in comm.items()}
-        order = np.argsort(accesses["task_id"], kind="stable")
-        self.accesses = {name: values[order]
-                         for name, values in accesses.items()}
-        self.counter_series = counter_series
-        self.counter_descriptions = list(counter_descriptions)
-        self.task_types = list(task_types)
-        self._region_lookup = RegionLookup(regions)
-        self.regions = self._region_lookup.regions
-        self.begin, self.end = self._time_bounds()
-
-    # -- global properties --------------------------------------------
-    @property
-    def num_cores(self):
-        """Total cores of the traced machine."""
-        return self.topology.num_cores
-
-    @property
-    def duration(self):
-        """Cycles between the first and last event."""
-        return self.end - self.begin
-
-    def _time_bounds(self):
-        begin, end = [], []
-        if len(self.states):
-            begin.append(int(self.states.columns["start"].min()))
-            end.append(int(self.states.columns["end"].max()))
-        if len(self.tasks):
-            begin.append(int(self.tasks.columns["start"].min()))
-            end.append(int(self.tasks.columns["end"].max()))
-        for timestamps, __ in self.counter_series.values():
-            if len(timestamps):
-                begin.append(int(timestamps[0]))
-                end.append(int(timestamps[-1]))
-        if not begin:
-            return 0, 0
-        return min(begin), max(end)
-
-    def __repr__(self):
-        return ("Trace(cores={}, states={}, tasks={}, accesses={}, "
-                "counters={})".format(
-                    self.num_cores, len(self.states), len(self.tasks),
-                    len(self.accesses["task_id"]),
-                    len(self.counter_descriptions)))
-
-
-def merge_counter_series(main, aux, counters=None):
-    """Merge counter series of a second trace into a new trace.
-
-    The paper collects ``getrusage`` statistics in a *separate* trace
-    because concurrent calls to the function perturb the run
-    (Section III-B); the analysis then needs the auxiliary counters
-    joined with the main trace.  This returns a new :class:`Trace`
-    carrying ``main``'s events plus the selected ``counters`` (names;
-    default: all) from ``aux``, re-numbered to avoid id collisions.
-    Name clashes get an ``aux:`` prefix.
-
-    Both traces must describe the same machine.
-    """
-    if (aux.topology.num_nodes != main.topology.num_nodes
-            or aux.topology.cores_per_node
-            != main.topology.cores_per_node):
-        raise ValueError("traces describe different machines")
-    wanted = ({description.name
-               for description in aux.counter_descriptions}
-              if counters is None else set(counters))
-    existing = {description.name
-                for description in main.counter_descriptions}
-    descriptions = list(main.counter_descriptions)
-    series = dict(main.counter_series)
-    id_map = {}
-    for description in aux.counter_descriptions:
-        if description.name not in wanted:
-            continue
-        name = description.name
-        if name in existing:
-            name = "aux:" + name
-        new_id = len(descriptions)
-        id_map[description.counter_id] = new_id
-        descriptions.append(CounterDescription(
-            counter_id=new_id, name=name,
-            monotone=description.monotone))
-    for (core, counter_id), data in aux.counter_series.items():
-        if counter_id in id_map:
-            series[(core, id_map[counter_id])] = data
-    return Trace(topology=main.topology,
-                 states=dict(main.states.columns),
-                 tasks=dict(main.tasks.columns),
-                 discrete=dict(main.discrete.columns),
-                 comm=dict(main.comm),
-                 accesses=dict(main.accesses),
-                 counter_series=series,
-                 counter_descriptions=descriptions,
-                 task_types=list(main.task_types),
-                 regions=list(main.regions))
+        """Freeze the accumulated records into a
+        :class:`~repro.core.columnar.ColumnarTrace`."""
+        if self.topology is None:
+            raise ValueError("cannot build a trace without a topology")
+        counter_series = {
+            key: (np.asarray(times, dtype=np.int64),
+                  np.asarray(self._counter_values[key], dtype=np.float64))
+            for key, times in self._counter_times.items()}
+        return ColumnarTrace.from_columns(
+            topology=self.topology,
+            states=self._states.to_numpy(),
+            tasks=self._tasks.to_numpy(),
+            discrete=self._discrete.to_numpy(),
+            comm=self._comm.to_numpy(),
+            accesses=self._accesses.to_numpy(),
+            counter_series=counter_series,
+            counter_descriptions=list(self.counter_descriptions),
+            task_types=list(self.task_types),
+            regions=list(self.regions))

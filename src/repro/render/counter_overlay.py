@@ -15,7 +15,7 @@ Two implementations of the optimized mode coexist:
   :meth:`~repro.core.interval_tree.MinMaxTree.query_segments` pass
   computes every column's extremes at once, with the per-``(core,
   counter)`` trees memoized on the trace store
-  (:meth:`~repro.core.trace.EventViewMixin.minmax_tree` — served from
+  (:meth:`~repro.core.columnar.ColumnarTrace.minmax_tree` — served from
   the ``.ostc`` sidecar's persisted pyramid levels on memory-mapped
   stores) so repeated zoom/pan frames rebuild nothing; views zoomed
   below one cycle per pixel (overlapping widened pixel intervals) use

@@ -18,7 +18,8 @@ from .counters import (BRANCH_MISPREDICTIONS, CACHE_MISSES,
 
 
 class TraceCollector:
-    """Collects simulator events and produces a :class:`Trace`.
+    """Collects simulator events and produces a
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
     ``collect_rusage`` adds the getrusage-like counters (system time and
     resident size); the paper records those in a separate trace because

@@ -63,11 +63,8 @@ class AnalysisSession:
         every analysis and render entry point accepts.
         """
         from .trace_format import read_trace
-        if cache:
-            trace = read_trace(path, cache=cache)
-        else:
-            trace = read_trace(path, columnar=True)
-        return cls(trace, width=width, height=height)
+        return cls(read_trace(path, cache=cache), width=width,
+                   height=height)
 
     # -- navigation ---------------------------------------------------
     def _move(self, view):
@@ -340,8 +337,7 @@ class MultiTraceSession:
         (the :meth:`AnalysisSession.open` fast path, once per file)."""
         import os
         from .trace_format import read_trace
-        traces = [read_trace(str(path), cache=True) if cache
-                  else read_trace(str(path), columnar=True)
+        traces = [read_trace(str(path), cache=bool(cache))
                   for path in paths]
         names = [os.path.splitext(os.path.basename(str(path)))[0]
                  for path in paths]

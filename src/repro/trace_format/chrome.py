@@ -30,6 +30,7 @@ import json
 from ..core.events import (STATE_NAMES, CounterDescription,
                            DiscreteEventKind, RegionInfo, TaskTypeInfo,
                            TopologyInfo)
+from ..core.trace import TraceBuilder
 from .format import FormatError
 
 
@@ -307,22 +308,16 @@ def _import_foreign(builder, events):
     return max(len(lanes), 1)
 
 
-def import_chrome(path, columnar=False):
-    """Load a Chrome trace-event JSON file into a trace store.
+def import_chrome(path):
+    """Load a Chrome trace-event JSON file into a
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
-    Files produced by :func:`export_chrome` round-trip exactly
-    (``columnar=True`` returns the
-    :class:`~repro.core.columnar.ColumnarTrace`); foreign files are
-    normalized per the module docstring.
+    Files produced by :func:`export_chrome` round-trip exactly;
+    foreign files are normalized per the module docstring.
     """
     document = _load_document(path)
     repro = (document.get("otherData") or {}).get("repro")
-    if columnar:
-        from ..core.columnar import ColumnarBuilder
-        builder = ColumnarBuilder()
-    else:
-        from ..core.trace import TraceBuilder
-        builder = TraceBuilder(None)
+    builder = TraceBuilder()
     events = document["traceEvents"]
     if repro is not None:
         topology = _install_metadata(builder, repro)

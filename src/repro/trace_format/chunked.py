@@ -425,7 +425,7 @@ def _salvage_iter(path, report_box):
         reason=reason)
 
 
-def salvage_trace(path, columnar=True):
+def salvage_trace(path):
     """Build a trace store from the verified prefix of a damaged file.
 
     Returns ``(trace, report)``.  Raises
@@ -434,5 +434,5 @@ def salvage_trace(path, columnar=True):
     static tables there is no trace to build).
     """
     records, report_box = salvage_records(path)
-    trace = build_trace(records, columnar=columnar)
+    trace = build_trace(records)
     return trace, report_box[0]

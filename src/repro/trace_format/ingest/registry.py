@@ -68,8 +68,9 @@ class TraceSource:
         """
         raise NotImplementedError
 
-    def load(self, path, columnar=False):
-        """Parse the file into a trace store."""
+    def load(self, path):
+        """Parse the file into a
+        :class:`~repro.core.columnar.ColumnarTrace`."""
         raise NotImplementedError
 
 
@@ -101,21 +102,22 @@ def detect_source(path):
 
 
 def ingest_trace(path, columnar=False, source=None):
-    """Load a trace file of any registered format.
+    """Load a trace file of any registered format into a
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
-    ``source`` forces a format by name (bypassing detection);
-    ``columnar=True`` returns the
-    :class:`~repro.core.columnar.ColumnarTrace` store.  Raises
-    :class:`~repro.trace_format.format.FormatError` for unrecognized
-    files or unknown source names.
+    ``source`` forces a format by name (bypassing detection).
+    ``columnar`` has no effect: every source returns the columnar
+    store.  It is still accepted because existing callers pass it.
+    Raises :class:`~repro.trace_format.format.FormatError` for
+    unrecognized files or unknown source names.
     """
     if source is not None:
         for candidate in _SOURCES:
             if candidate.name == source:
-                return candidate.load(path, columnar=columnar)
+                return candidate.load(path)
         raise FormatError("unknown trace source {!r} (known: {})".format(
             source, ", ".join(entry.name for entry in _SOURCES)))
-    return detect_source(path).load(path, columnar=columnar)
+    return detect_source(path).load(path)
 
 
 @register_source
@@ -129,11 +131,11 @@ class NativeTraceSource(TraceSource):
         """Claim files opening with the native magic bytes."""
         return head[:len(MAGIC)] == MAGIC
 
-    def load(self, path, columnar=False):
+    def load(self, path):
         """Defer to :func:`repro.trace_format.reader.read_trace`
         (which also handles the ``.ostc`` sidecar cache)."""
         from ..reader import read_trace
-        return read_trace(str(path), columnar=columnar)
+        return read_trace(str(path))
 
 
 @register_source
@@ -147,10 +149,10 @@ class ParaverTraceSource(TraceSource):
         """Claim files opening with a ``#Paraver`` header line."""
         return head[:len(b"#Paraver")] == b"#Paraver"
 
-    def load(self, path, columnar=False):
+    def load(self, path):
         """Defer to :func:`repro.trace_format.paraver.import_paraver`."""
         from ..paraver import import_paraver
-        return import_paraver(str(path), columnar=columnar)
+        return import_paraver(str(path))
 
 
 @register_source
@@ -169,7 +171,7 @@ class ChromeTraceSource(TraceSource):
             return b'"traceEvents"' in head
         return stripped.startswith(b"[") and self.matches_suffix(path)
 
-    def load(self, path, columnar=False):
+    def load(self, path):
         """Defer to :func:`repro.trace_format.chrome.import_chrome`."""
         from ..chrome import import_chrome
-        return import_chrome(str(path), columnar=columnar)
+        return import_chrome(str(path))

@@ -6,7 +6,7 @@ interoperability with the Paraver/BSC tool family remains useful.
 This module exports an in-memory trace to the textual Paraver ``.prv``
 format (plus the ``.pcf`` configuration naming states and events) so a
 trace produced here can be opened in wxParaver, and imports ``.prv``
-files back into either trace store so every statistic, anomaly
+files back into the columnar trace store so every statistic, anomaly
 detector and renderer runs unmodified on Paraver traces.
 
 The mapping follows Paraver conventions:
@@ -33,6 +33,7 @@ import re
 
 from ..core.events import (STATE_NAMES, DiscreteEventKind, TopologyInfo,
                            WorkerState)
+from ..core.trace import TraceBuilder
 from .format import FormatError
 
 #: Paraver event type ids used by the export.
@@ -245,25 +246,19 @@ def _parse_pcf(pcf_path, builder):
                     name=stripped.split(None, 1)[1]))
 
 
-def import_paraver(path, columnar=False):
+def import_paraver(path):
     """Load a ``.prv`` trace (plus its ``.pcf``, when present).
 
-    Returns the object-model :class:`~repro.core.trace.Trace`
-    (``columnar=True``: the
-    :class:`~repro.core.columnar.ColumnarTrace`).  Files exported by
-    :func:`export_paraver` round-trip exactly except for memory
-    accesses; any compliant ``.prv`` file yields at least its state
-    records, so the state-based analyses work on foreign traces too.
+    Returns a :class:`~repro.core.columnar.ColumnarTrace`.  Files
+    exported by :func:`export_paraver` round-trip exactly except for
+    memory accesses; any compliant ``.prv`` file yields at least its
+    state records, so the state-based analyses work on foreign traces
+    too.
     """
     with open(path) as handle:
         header = handle.readline()
         topology = _parse_header(header)
-        if columnar:
-            from ..core.columnar import ColumnarBuilder
-            builder = ColumnarBuilder(topology)
-        else:
-            from ..core.trace import TraceBuilder
-            builder = TraceBuilder(topology)
+        builder = TraceBuilder(topology)
         _parse_pcf(str(path)[:-4] + ".pcf", builder)
         for lineno, line in enumerate(handle, start=2):
             line = line.strip()

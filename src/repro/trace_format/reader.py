@@ -1,7 +1,8 @@
 """Trace file reader.
 
 Streams records from a (possibly compressed) trace file into a
-:class:`repro.core.trace.TraceBuilder`.  Structures may appear in any
+:class:`repro.core.trace.TraceBuilder`, which assembles the
+:class:`repro.core.columnar.ColumnarTrace`.  Structures may appear in any
 order; unknown record types raise a :class:`FormatError` (the format is
 versioned, so unknown tags indicate corruption rather than extensions).
 
@@ -136,14 +137,13 @@ def _skip_chunk_index(stream, v2=False):
 
 
 def read_trace(path, columnar=False, cache=None):
-    """Load a trace file and return the indexed trace.
+    """Load a trace file and return its
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
-    ``columnar=False`` (the default) returns the object-model
-    :class:`~repro.core.trace.Trace`.  ``columnar=True`` returns the
-    per-core structured-array
-    :class:`~repro.core.columnar.ColumnarTrace`, filling the arrays
-    directly while parsing — no per-event objects, and no whole-file
-    record buffering.
+    Records are appended to the per-kind columns as they are parsed —
+    no per-event objects, and no whole-file record buffering.
+    ``columnar`` has no effect: every read returns the columnar store.
+    It is still accepted because existing callers pass it.
 
     ``cache`` enables the memory-mapped columnar sidecar
     (:mod:`repro.trace_format.cache`): ``True`` uses the conventional
@@ -151,8 +151,7 @@ def read_trace(path, columnar=False, cache=None):
     explicitly.  A fresh sidecar is mapped back in milliseconds
     (no parsing; pages load lazily); a missing, stale or corrupt one
     triggers a single parse that writes the sidecar through for the
-    next open.  With ``cache`` set the result is always the columnar
-    store.
+    next open.
     """
     if cache:
         from .cache import (CacheError, default_cache_path,
@@ -167,84 +166,44 @@ def read_trace(path, columnar=False, cache=None):
         # changes while parsing, the sidecar must come out stale, not
         # freshly stamped over wrong data.
         stamp = source_stamp(path)
-        trace = read_trace(path, columnar=True)
+        trace = read_trace(path)
         try:
-            write_cache(trace, cache_path, source_stamp=stamp)
+            write_cache(trace, cache_path, stamp=stamp)
         except OSError:
             pass            # unwritable location: serve the parse
         return trace
     with open_trace_file(path, "rb") as raw:
-        return read_trace_stream(raw, columnar=columnar)
+        return read_trace_stream(raw)
 
 
-def register_counter_description(builder, description):
-    """Install a :class:`CounterDescription` on a builder, preserving
-    the id stored in the file (padding any gaps with placeholders)."""
-    while len(builder.counter_descriptions) < description.counter_id:
-        builder.describe_counter("__unused_{}".format(
-            len(builder.counter_descriptions)))
-    builder.counter_descriptions.append(description)
-
-
-def read_trace_stream(raw, columnar=False):
+def read_trace_stream(raw):
     """Load a trace from an open binary stream (header included)."""
     stream = _Stream(raw)
     check_header(stream)
-    return build_trace(parse_records(stream), columnar=columnar)
+    return build_trace(parse_records(stream))
 
 
-def build_trace(records, columnar=False):
+def build_trace(records):
     """Fold an iterable of ``(kind, fields)`` pairs — the shape
-    :func:`parse_records` yields — into a trace store.
+    :func:`parse_records` yields — into a
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
-    Shared by the full-file readers and the corruption-salvage path
-    (:func:`repro.trace_format.chunked.salvage_trace`), which feeds
-    only the verified prefix of a damaged file through the same
-    builders.
+    Shared by the full-file readers, the window extraction
+    (:func:`repro.trace_format.streaming.build_window`) and the
+    corruption-salvage path
+    (:func:`repro.trace_format.chunked.salvage_trace`).  The builder
+    tolerates a topology arriving anywhere, so events append to their
+    columns as they are parsed.
     """
-    if columnar:
-        return _build_columnar(records)
-    topology = None
-    counters = []
-    task_types = []
-    regions = []
-    events = []
+    builder = TraceBuilder()
     for kind, fields in records:
         if kind == "topology":
-            topology = fields
+            builder.topology = fields
         elif kind == "counter_description":
-            counters.append(fields)
-        elif kind == "task_type":
-            task_types.append(fields)
-        elif kind == "region":
-            regions.append(fields)
-        else:
-            events.append((kind, fields))
-    if topology is None:
-        raise fmt.FormatError("trace has no topology record")
-    builder = TraceBuilder(topology)
-    for description in counters:
-        register_counter_description(builder, description)
-    for info in task_types:
-        builder.describe_task_type(info)
-    for info in regions:
-        builder.describe_region(info)
-    for record, fields in events:
-        getattr(builder, record)(*fields)
-    return builder.build()
-
-
-def _build_columnar(records):
-    """Fill a :class:`~repro.core.columnar.ColumnarBuilder` straight
-    from the record stream.  The builder tolerates a topology arriving
-    anywhere, so events append to their columns as they are parsed."""
-    from ..core.columnar import ColumnarBuilder
-    builder = ColumnarBuilder()
-    for kind, fields in records:
-        if kind == "topology":
-            builder.set_topology(fields)
-        elif kind == "counter_description":
-            register_counter_description(builder, fields)
+            # Descriptions carry their id and may arrive in any order.
+            if not builder.place_counter(fields):
+                raise fmt.FormatError("counter {} described twice"
+                                      .format(fields.counter_id))
         elif kind == "task_type":
             builder.describe_task_type(fields)
         elif kind == "region":

@@ -4,7 +4,8 @@ The paper's conclusion announces work on "the out-of-core processing
 of large traces": Aftermath loads traces of several gigabytes into
 memory, but larger ones need streaming.  This module processes a trace
 file record-by-record through constant-memory accumulators, never
-materializing the in-memory :class:`Trace`:
+materializing the in-memory
+:class:`~repro.core.columnar.ColumnarTrace`:
 
 * :func:`stream_records` — iterate (record_kind, fields) pairs;
 * :class:`StreamingStatistics` — one-pass per-state times, task
@@ -15,7 +16,7 @@ materializing the in-memory :class:`Trace`:
 * :func:`streaming_state_summary` / :func:`streaming_task_histogram` —
   the common statistics views computed out-of-core;
 * :func:`split_time_window` — extract a time window of a huge trace
-  into a small in-memory :class:`Trace` for interactive analysis.
+  into a small in-memory store for interactive analysis.
   When the file carries a seekable chunk index (see
   :mod:`repro.trace_format.chunked`), only the chunks overlapping the
   window are read instead of the whole file.
@@ -32,10 +33,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.events import TopologyInfo
-from ..core.trace import TraceBuilder
-from . import format as fmt
 from .compression import open_trace_file
-from .reader import _Stream, check_header, parse_records
+from .reader import _Stream, build_trace, check_header, parse_records
 
 
 def stream_records(path):
@@ -357,9 +356,9 @@ def streaming_task_histogram(path, bins, value_range):
     return accumulator.edges, accumulator.counts
 
 
-def split_time_window(path, start, end, *, stats=None, columnar=False,
-                      cache=None):
-    """Extract [start, end) of a huge trace into an in-memory trace.
+def split_time_window(path, start, end, *, stats=None, cache=None):
+    """Extract [start, end) of a huge trace into an in-memory
+    :class:`~repro.core.columnar.ColumnarTrace`.
 
     Static records are kept in full; event records are dropped unless
     they overlap the window.  This is the out-of-core navigation
@@ -369,21 +368,16 @@ def split_time_window(path, start, end, *, stats=None, columnar=False,
     overlapping chunks and reads only those bytes; unindexed (or
     compressed) files fall back to the full scan.  ``stats``, if given,
     is a :class:`~repro.trace_format.chunked.ScanStats` reporting how
-    many bytes the extraction actually read.  ``columnar=True``
-    assembles a :class:`~repro.core.columnar.ColumnarTrace` instead of
-    a :class:`Trace`, without materializing per-event objects.
+    many bytes the extraction actually read.
 
-    ``cache`` (columnar only; ``True`` for the conventional sidecar, or
-    an explicit path) serves the window as a zero-copy
+    ``cache`` (``True`` for the conventional sidecar, or an explicit
+    path) serves the window as a zero-copy
     :meth:`~repro.core.columnar.ColumnarTrace.slice_time_window` over
     the memory-mapped ``.ostc`` sidecar when a fresh one exists — no
     chunk is parsed and ``stats`` is left untouched.  Without a usable
     sidecar the chunk-seeking path runs unchanged.
     """
     if cache:
-        if not columnar:
-            raise ValueError("cache-served windows are columnar; pass "
-                             "columnar=True")
         from .cache import CacheError, default_cache_path, load_cache
         cache_path = (default_cache_path(path) if cache is True
                       else str(cache))
@@ -396,60 +390,29 @@ def split_time_window(path, start, end, *, stats=None, columnar=False,
     from .chunked import stream_window_records
     return build_window(stream_window_records(path, start, end,
                                               stats=stats),
-                        start, end, columnar=columnar)
+                        start, end)
 
 
-def build_window(records, start, end, columnar=False):
+def build_window(records, start, end):
     """Assemble an in-memory trace from a ``(kind, fields)`` stream,
     keeping static records and the events overlapping ``[start, end)``.
     The filtering half of :func:`split_time_window`; over
     :func:`stream_records` it is the full-scan reference the
-    chunk-seeking path must equal.  The ``columnar`` flag only swaps
-    the builder
-    (:class:`~repro.core.trace.TraceBuilder` vs.
-    :class:`~repro.core.columnar.ColumnarBuilder`)."""
-    from ..core.columnar import ColumnarBuilder
-    from .reader import register_counter_description
+    chunk-seeking path must equal.  Interval kinds keep every record
+    overlapping the window, point kinds keep timestamps in
+    ``[start, end)``."""
+    def overlapping():
+        for kind, fields in records:
+            if kind in ("state_interval", "task_execution"):
+                if not (fields[-2] < end and fields[-1] > start):
+                    continue
+            elif kind in _TIMESTAMP_FIELD:
+                if not start <= fields[_TIMESTAMP_FIELD[kind]] < end:
+                    continue
+            yield kind, fields
+    return build_trace(overlapping())
 
-    def add_static(builder, kind, fields):
-        if kind == "counter_description":
-            register_counter_description(builder, fields)
-        elif kind == "task_type":
-            builder.describe_task_type(fields)
-        else:
-            builder.describe_region(fields)
 
-    builder_class = ColumnarBuilder if columnar else TraceBuilder
-    builder = None
-    pending_static = []
-    for kind, fields in records:
-        if kind == "topology":
-            builder = builder_class(fields)
-            for static_kind, payload in pending_static:
-                add_static(builder, static_kind, payload)
-            continue
-        if kind in ("counter_description", "task_type", "region"):
-            if builder is None:
-                pending_static.append((kind, fields))
-            else:
-                add_static(builder, kind, fields)
-            continue
-        if builder is None:
-            raise fmt.FormatError("event record before topology")
-        if kind in ("state_interval", "task_execution"):
-            ev_start, ev_end = fields[-2], fields[-1]
-            if ev_start < end and ev_end > start:
-                getattr(builder, kind)(*fields)
-        elif kind in ("counter_sample", "discrete_event"):
-            timestamp = fields[2]
-            if start <= timestamp < end:
-                getattr(builder, kind)(*fields)
-        elif kind == "comm_event":
-            if start <= fields[2] < end:
-                builder.comm_event(*fields)
-        elif kind == "memory_access":
-            if start <= fields[5] < end:
-                builder.memory_access(*fields)
-    if builder is None:
-        raise fmt.FormatError("trace has no topology record")
-    return builder.build()
+#: Position of the timestamp in the fields of each point-event kind.
+_TIMESTAMP_FIELD = {"counter_sample": 2, "discrete_event": 2,
+                    "comm_event": 2, "memory_access": 5}

@@ -1,10 +1,10 @@
 """Trace file writer.
 
-Serializes an in-memory :class:`repro.core.trace.Trace` (or raw records)
-to the binary format.  Event records are written per core in timestamp
-order — satisfying the format's only ordering requirement — but records
-of different cores and different types are interleaved freely, as the
-format allows (Section VI-A).
+Serializes an in-memory :class:`repro.core.columnar.ColumnarTrace` (or
+raw records) to the binary format.  Event records are written per core
+in timestamp order — satisfying the format's only ordering
+requirement — but records of different cores and different types are
+interleaved freely, as the format allows (Section VI-A).
 
 Two writers are provided:
 
@@ -262,8 +262,9 @@ class IndexedTraceWriter(TraceWriter):
 
 def write_trace(trace, path, index="auto",
                 chunk_records=DEFAULT_CHUNK_RECORDS):
-    """Serialize a :class:`Trace` to ``path`` (compressed if the suffix
-    says so).  Returns the number of records written.
+    """Serialize a :class:`~repro.core.columnar.ColumnarTrace` to
+    ``path`` (compressed if the suffix says so).  Returns the number
+    of records written.
 
     ``index`` controls the seekable chunk index: ``True`` to append it,
     ``False`` to skip it, or ``"auto"`` (the default) to append it

@@ -12,6 +12,7 @@ from repro.trace_format import (CacheError, ScanStats, StaleCacheError,
                                 default_cache_path, load_cache,
                                 read_trace, split_time_window,
                                 write_cache, write_trace)
+from repro.trace_format.cache import source_stamp
 from trace_gen import make_random_trace
 
 
@@ -82,7 +83,7 @@ class TestReadTraceCache:
         stale_stamp = {"size": os.path.getsize(path) + 1,
                        "mtime_ns": 0}          # "the file moved on"
         sidecar = default_cache_path(path)
-        write_cache(trace, sidecar, source_stamp=stale_stamp)
+        write_cache(trace, sidecar, stamp=stale_stamp)
         with pytest.raises(StaleCacheError):
             load_cache(sidecar, source_path=path)
 
@@ -135,15 +136,10 @@ class TestSessionOpen:
 
 
 class TestCacheWindows:
-    def test_split_time_window_requires_columnar(self, trace_file):
-        path, __ = trace_file
-        with pytest.raises(ValueError):
-            split_time_window(path, 0, 10, cache=True)
-
     def test_cache_served_window_matches_scan(self, trace_file):
         """Without a sidecar the window is read from the file's chunks;
         with a fresh one it is sliced from the mapping, reading no
-        trace-file bytes.  Both equal the object-store window."""
+        trace-file bytes.  Both equal the full-scan window."""
         path, trace = trace_file
         span = trace.end - trace.begin
         start = trace.begin + span // 3
@@ -153,7 +149,7 @@ class TestCacheWindows:
             stats = ScanStats()
             assert traces_equal(
                 split_time_window(path, start, end, stats=stats,
-                                  columnar=True, cache=True), scan)
+                                  cache=True), scan)
             assert (stats.bytes_read == 0) == mapped
             read_trace(path, cache=True)        # writes the sidecar
 
@@ -167,7 +163,7 @@ class TestMemoizedTrees:
         path, trace = trace_file
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
-        store = read_trace(path, columnar=True)
+        store = read_trace(path)
         first = value_bounds(store, 0)
         trees_after_first = dict(store._minmax_trees)
         assert len(trees_after_first) == store.num_cores
@@ -181,7 +177,7 @@ class TestMemoizedTrees:
         path, trace = trace_file
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
-        store = read_trace(path, columnar=True)
+        store = read_trace(path)
         index = CounterIndex(store)
         assert index.tree(0, 0) is store.minmax_tree(0, 0)
 
@@ -196,7 +192,7 @@ class TestAtomicWrites:
         from repro.trace_format import cache as cache_module
         path, trace = trace_file
         sidecar = default_cache_path(path)
-        write_cache(trace, sidecar, source_path=path)
+        write_cache(trace, sidecar, stamp=source_stamp(path))
         before = open(sidecar, "rb").read()
 
         original = cache_module._write_body
@@ -208,7 +204,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(cache_module, "_write_body",
                             exploding_write_body)
         with pytest.raises(OSError):
-            write_cache(trace, sidecar, source_path=path)
+            write_cache(trace, sidecar, stamp=source_stamp(path))
         monkeypatch.setattr(cache_module, "_write_body", original)
         assert open(sidecar, "rb").read() == before
         assert traces_equal(load_cache(sidecar), trace)
@@ -224,7 +220,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(cache_module, "_write_body",
                             exploding_write_body)
         with pytest.raises(OSError):
-            write_cache(trace, sidecar, source_path=path)
+            write_cache(trace, sidecar, stamp=source_stamp(path))
         directory = os.path.dirname(sidecar)
         assert not [name for name in os.listdir(directory)
                     if ".tmp." in name]
@@ -235,10 +231,10 @@ class TestAtomicWrites:
         mapped inode lives on)."""
         path, trace = trace_file
         sidecar = default_cache_path(path)
-        write_cache(trace, sidecar, source_path=path)
+        write_cache(trace, sidecar, stamp=source_stamp(path))
         mapped = load_cache(sidecar)
         lane_before = np.asarray(mapped.states.lane(0)).copy()
-        write_cache(trace, sidecar, source_path=path)
+        write_cache(trace, sidecar, stamp=source_stamp(path))
         assert np.array_equal(np.asarray(mapped.states.lane(0)),
                               lane_before)
         assert traces_equal(mapped, load_cache(sidecar))
@@ -295,7 +291,7 @@ class TestPersistedPyramids:
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         for core in range(trace.num_cores):
             served = mapped.minmax_tree(core, 0)
             built = plain.minmax_tree(core, 0)
@@ -321,7 +317,7 @@ class TestPersistedPyramids:
     def test_mapped_state_index_matches_built(self, trace_file):
         path, trace = trace_file
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         for core in range(trace.num_cores):
             served = mapped.state_index(core)
             built = plain.state_index(core)
@@ -334,7 +330,7 @@ class TestPersistedPyramids:
     def test_mapped_tiles_match_built(self, trace_file):
         path, trace = trace_file
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         for core in range(trace.num_cores):
             served = mapped.state_tiles(core)
             built = plain.state_tiles(core)
@@ -366,7 +362,7 @@ class TestPersistedPyramids:
         from repro.render.counter_overlay import render_counter
         path, trace = trace_file
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         widths = tile_level_counts(trace.end - trace.begin)
         assert widths, "fixture trace too short to carry tiles"
         for width in widths:
@@ -407,7 +403,7 @@ class TestPersistedPyramids:
         odd_width = TimelineView(start=trace.begin, end=trace.end,
                                  width=63, height=32)
         assert mapped.counter_columns(0, 0, odd_width) is None
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         fit = TimelineView(start=trace.begin, end=trace.end,
                            width=64, height=32)
         assert plain.counter_columns(0, 0, fit) is None  # no sidecar
@@ -425,7 +421,7 @@ class TestPersistedPyramids:
         # Rewriting the sidecar (atomic replace -> new identity)
         # invalidates the cached header.
         store = read_trace(path, cache=True)
-        write_cache(store, sidecar, source_path=path)
+        write_cache(store, sidecar, stamp=source_stamp(path))
         third, __ = cache_module._read_header(sidecar)
         assert third is not first
 

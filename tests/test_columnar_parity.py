@@ -1,14 +1,15 @@
-"""Columnar/object parity sweep.
+"""Built/mapped parity sweep.
 
 For every analysis entry point in :mod:`repro.core.statistics`,
 :mod:`repro.core.metrics` and :mod:`repro.core.filters` (plus the
 index helpers and timeline rendering they feed), assert that running
-on the columnar store (:class:`~repro.core.columnar.ColumnarTrace`)
-produces *exactly* the same result as running on the object store
-(:class:`~repro.core.trace.Trace`) — bit-identical arrays, equal
-floats, equal report text — on randomized traces.  The pure-Python
-object-model implementations in :mod:`repro.core.reference` tie both
-stores to the executable specification.
+on a :class:`~repro.core.columnar.ColumnarTrace` built in memory
+produces *exactly* the same result as running on the same trace
+mapped back from its ``.ostc`` sidecar — whose render paths serve the
+persisted pyramids and tiles — with bit-identical arrays, equal
+floats and equal report text, on randomized traces.  The pure-Python
+dataclass walks in :mod:`repro.core.reference` tie both paths to the
+executable specification.
 """
 
 import numpy as np
@@ -35,15 +36,18 @@ from repro.trace_format import (StreamingStatistics,
                                 stream_records, streaming,
                                 streaming_statistics,
                                 streaming_task_histogram, write_trace)
-from trace_gen import make_random_trace
+from trace_gen import make_random_trace, mapped_copy
 
 SEEDS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module", params=SEEDS)
-def pair(request):
+def pair(request, tmp_path_factory):
+    """(store built in memory, the same trace mapped from a sidecar)."""
     trace = make_random_trace(request.param, events_per_core=60)
-    return trace, trace.to_columnar()
+    mapped = mapped_copy(trace, tmp_path_factory.mktemp("parity"))
+    assert mapped.pyramids is not None
+    return trace, mapped
 
 
 def windows(trace):
@@ -55,41 +59,41 @@ def windows(trace):
 
 class TestStatisticsParity:
     def test_state_time_summary(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for start, end in windows(trace):
             assert (statistics.state_time_summary(trace, start, end)
-                    == statistics.state_time_summary(columnar, start, end)
+                    == statistics.state_time_summary(mapped, start, end)
                     == reference.state_time_summary(trace, start, end))
 
     def test_per_core_state_time(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for state in WorkerState:
             for start, end in windows(trace):
                 expected = statistics.per_core_state_time(trace, state,
                                                           start, end)
                 assert np.array_equal(
                     expected, statistics.per_core_state_time(
-                        columnar, state, start, end))
+                        mapped, state, start, end))
                 assert np.array_equal(
                     expected, reference.per_core_state_time(
                         trace, state, start, end))
 
     def test_average_parallelism(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for start, end in windows(trace):
             expected = statistics.average_parallelism(trace, start, end)
-            assert expected == statistics.average_parallelism(columnar,
+            assert expected == statistics.average_parallelism(mapped,
                                                               start, end)
             assert expected == reference.average_parallelism(trace,
                                                              start, end)
 
     def test_task_duration_histogram(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for start, end in windows(trace):
             edges, fractions = statistics.task_duration_histogram(
                 trace, bins=12, start=start, end=end)
             col_edges, col_fractions = statistics.task_duration_histogram(
-                columnar, bins=12, start=start, end=end)
+                mapped, bins=12, start=start, end=end)
             ref_edges, ref_fractions = reference.task_duration_histogram(
                 trace, bins=12, start=start, end=end)
             assert np.array_equal(edges, col_edges)
@@ -98,87 +102,87 @@ class TestStatisticsParity:
             assert np.array_equal(fractions, ref_fractions)
 
     def test_counter_histogram(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         name = trace.counter_descriptions[0].name
         edges, fractions = statistics.counter_histogram(trace, name,
                                                         bins=8)
         col_edges, col_fractions = statistics.counter_histogram(
-            columnar, name, bins=8)
+            mapped, name, bins=8)
         assert np.array_equal(edges, col_edges)
         assert np.array_equal(fractions, col_fractions)
 
     def test_communication_matrix(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for kind in ("any", "read", "write"):
             for normalize in (True, False):
                 expected = statistics.communication_matrix(
                     trace, kind=kind, normalize=normalize)
                 assert np.array_equal(
                     expected, statistics.communication_matrix(
-                        columnar, kind=kind, normalize=normalize))
+                        mapped, kind=kind, normalize=normalize))
                 assert np.array_equal(
                     expected, reference.communication_matrix(
                         trace, kind=kind, normalize=normalize))
 
     def test_locality_fraction(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         assert (statistics.locality_fraction(trace)
-                == statistics.locality_fraction(columnar))
+                == statistics.locality_fraction(mapped))
 
     def test_steal_matrix(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for start, end in windows(trace):
             expected = statistics.steal_matrix(trace, start, end)
             assert np.array_equal(expected,
-                                  statistics.steal_matrix(columnar,
+                                  statistics.steal_matrix(mapped,
                                                           start, end))
             assert np.array_equal(expected,
                                   reference.steal_matrix(trace, start,
                                                          end))
 
     def test_interval_report(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for start, end in windows(trace):
             assert (statistics.interval_report(trace, start, end)
                     .describe()
-                    == statistics.interval_report(columnar, start, end)
+                    == statistics.interval_report(mapped, start, end)
                     .describe())
 
 
 class TestMetricsParity:
     def test_interval_edges(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         assert np.array_equal(metrics.interval_edges(trace, 37),
-                              metrics.interval_edges(columnar, 37))
+                              metrics.interval_edges(mapped, 37))
 
     def test_state_count_series(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for state in (WorkerState.RUNNING, WorkerState.IDLE):
             edges, values = metrics.state_count_series(trace, state, 50)
             col_edges, col_values = metrics.state_count_series(
-                columnar, state, 50)
+                mapped, state, 50)
             assert np.array_equal(edges, col_edges)
             assert np.array_equal(values, col_values)
 
     def test_average_task_duration_series(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         edges, values = metrics.average_task_duration_series(trace, 40)
         col_edges, col_values = metrics.average_task_duration_series(
-            columnar, 40)
+            mapped, 40)
         assert np.array_equal(edges, col_edges)
         assert np.array_equal(values, col_values)
 
     def test_counter_series_metrics(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         name = trace.counter_descriptions[0].name
         for function in (metrics.aggregate_counter_series,
                          metrics.counter_derivative_series):
             edges, values = function(trace, name, 30)
-            col_edges, col_values = function(columnar, name, 30)
+            col_edges, col_values = function(mapped, name, 30)
             assert np.array_equal(edges, col_edges)
             assert np.array_equal(values, col_values)
         if len(trace.counter_descriptions) > 1:
@@ -186,24 +190,24 @@ class TestMetricsParity:
             edges, values = metrics.counter_ratio_series(trace, name,
                                                          other, 30)
             col_edges, col_values = metrics.counter_ratio_series(
-                columnar, name, other, 30)
+                mapped, name, other, 30)
             assert np.array_equal(values, col_values)
 
     def test_bytes_between_nodes_series(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         nodes = trace.topology.num_nodes
         for src in range(nodes):
             edges, values = metrics.bytes_between_nodes_series(
                 trace, src, (src + 1) % nodes, 25)
             col_edges, col_values = metrics.bytes_between_nodes_series(
-                columnar, src, (src + 1) % nodes, 25)
+                mapped, src, (src + 1) % nodes, 25)
             assert np.array_equal(edges, col_edges)
             assert np.array_equal(values, col_values)
 
     def test_task_duration_stats(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         expected = metrics.task_duration_stats(trace)
-        assert expected == metrics.task_duration_stats(columnar)
+        assert expected == metrics.task_duration_stats(mapped)
         assert expected == reference.task_duration_stats(trace)
 
 
@@ -226,16 +230,16 @@ class TestFilterParity:
             ~AllTasks()
 
     def test_masks_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for task_filter in self.filters_for(trace):
             assert np.array_equal(task_filter.mask(trace),
-                                  task_filter.mask(columnar)), task_filter
+                                  task_filter.mask(mapped)), task_filter
 
     def test_filtered_tasks_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         for task_filter in (None, DurationFilter(minimum=50)):
             expected = filtered_tasks(trace, task_filter)
-            actual = filtered_tasks(columnar, task_filter)
+            actual = filtered_tasks(mapped, task_filter)
             assert sorted(expected) == sorted(actual)
             for name in expected:
                 assert np.array_equal(expected[name], actual[name])
@@ -243,7 +247,7 @@ class TestFilterParity:
 
 class TestIndexParity:
     def test_interval_queries(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         span = trace.end - trace.begin
         start = trace.begin + span // 3
         end = trace.begin + (2 * span) // 3
@@ -252,13 +256,13 @@ class TestIndexParity:
                           core_index.tasks_in_interval,
                           core_index.discrete_in_interval):
                 expected = query(trace, core, start, end)
-                actual = query(columnar, core, start, end)
+                actual = query(mapped, core, start, end)
                 assert sorted(expected) == sorted(actual)
                 for name in expected:
                     assert np.array_equal(expected[name], actual[name])
 
     def test_counter_queries(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         span = trace.end - trace.begin
@@ -267,7 +271,7 @@ class TestIndexParity:
                 trace, core, 0, trace.begin + span // 3,
                 trace.end - span // 3)
             actual = core_index.counter_samples_in_interval(
-                columnar, core, 0, trace.begin + span // 3,
+                mapped, core, 0, trace.begin + span // 3,
                 trace.end - span // 3)
             assert np.array_equal(expected[0], actual[0])
             assert np.array_equal(expected[1], actual[1])
@@ -352,12 +356,12 @@ class TestBatchAccumulatorParity:
 
 class TestRenderParity:
     def test_state_timeline_pixels_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         view = TimelineView.fit(trace, width=200,
                                 height=4 * trace.num_cores)
-        object_fb = render_timeline(trace, StateMode(), view)
-        columnar_fb = render_timeline(columnar, StateMode(), view)
-        assert np.array_equal(object_fb.pixels, columnar_fb.pixels)
+        built_fb = render_timeline(trace, StateMode(), view)
+        mapped_fb = render_timeline(mapped, StateMode(), view)
+        assert np.array_equal(built_fb.pixels, mapped_fb.pixels)
 
 
 class TestOverlayParity:
@@ -375,7 +379,7 @@ class TestOverlayParity:
         yield base.zoom(max(trace.duration, 2))
 
     def test_counter_overlay_pixels_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         for view in self.overlay_views(trace):
@@ -383,14 +387,14 @@ class TestOverlayParity:
                 frames = {}
                 for label, target, kwargs in (
                         ("scalar", trace, {"vectorized": False}),
-                        ("object", trace, {}),
-                        ("columnar", columnar, {})):
+                        ("built", trace, {}),
+                        ("mapped", mapped, {})):
                     fb = Framebuffer(view.width, view.height)
                     calls = render_counter(target, 0, view, fb,
                                            core=core, **kwargs)
                     frames[label] = (calls, fb.pixels)
                 reference_calls, reference_pixels = frames["scalar"]
-                for label in ("object", "columnar"):
+                for label in ("built", "mapped"):
                     calls, pixels = frames[label]
                     assert calls == reference_calls, (label, view)
                     assert np.array_equal(pixels, reference_pixels), \
@@ -398,8 +402,8 @@ class TestOverlayParity:
 
     def test_derived_series_overlay_identical(self, pair):
         from repro.render import render_derived_series
-        trace, columnar = pair
-        for store in (trace, columnar):
+        trace, mapped = pair
+        for store in (trace, mapped):
             series = AverageTaskDuration().materialize(store,
                                                        num_intervals=60)
             for view in self.overlay_views(trace):
@@ -414,106 +418,106 @@ class TestOverlayParity:
                                       scalar_fb.pixels), view
 
     def test_value_bounds_matches_reference(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         expected = reference.counter_value_bounds(trace, 0)
         assert value_bounds(trace, 0) == expected
-        assert value_bounds(columnar, 0) == expected
+        assert value_bounds(mapped, 0) == expected
 
     def test_discrete_event_overlay_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         view = TimelineView.fit(trace, width=120,
                                 height=4 * trace.num_cores)
         results = {}
         for label, target, kwargs in (
                 ("scalar", trace, {"vectorized": False}),
-                ("object", trace, {}),
-                ("columnar", columnar, {})):
+                ("built", trace, {}),
+                ("mapped", mapped, {})):
             fb = Framebuffer(view.width, view.height)
             markers = render_discrete_events(target, view, fb, **kwargs)
             results[label] = (markers, fb.pixels)
         markers, pixels = results["scalar"]
-        for label in ("object", "columnar"):
+        for label in ("built", "mapped"):
             assert results[label][0] == markers
             assert np.array_equal(results[label][1], pixels)
 
     def test_matrix_render_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         matrix = statistics.steal_matrix(trace).astype(np.float64)
         expected = render_matrix(matrix, vectorized=False).pixels
         assert np.array_equal(render_matrix(matrix).pixels, expected)
         assert np.array_equal(
-            render_matrix(statistics.steal_matrix(columnar)
+            render_matrix(statistics.steal_matrix(mapped)
                           .astype(np.float64)).pixels, expected)
 
 
 class TestAnomalyParity:
     def test_bin_scans_match_reference(self, pair):
-        trace, columnar = pair
-        for store in (trace, columnar):
+        trace, mapped = pair
+        for store in (trace, mapped):
             assert (anomalies.detect_load_imbalance(store)
                     == reference.detect_load_imbalance(trace))
             assert (anomalies.detect_locality_anomalies(store)
                     == reference.detect_locality_anomalies(trace))
 
     def test_full_scan_identical_across_stores(self, pair):
-        trace, columnar = pair
-        assert anomalies.scan(trace) == anomalies.scan(columnar)
+        trace, mapped = pair
+        assert anomalies.scan(trace) == anomalies.scan(mapped)
 
 
 class TestCorrelationParity:
     def test_counter_increase_matches_reference(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         __, expected = reference.counter_increase_per_task(trace, 0)
-        for store in (trace, columnar):
+        for store in (trace, mapped):
             __, increases = correlation.counter_increase_per_task(store,
                                                                   0)
             assert np.array_equal(increases, expected)
 
     def test_filtered_increase_matches_reference(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         task_filter = DurationFilter(minimum=20)
         __, expected = reference.counter_increase_per_task(
             trace, 0, task_filter)
-        for store in (trace, columnar):
+        for store in (trace, mapped):
             __, increases = correlation.counter_increase_per_task(
                 store, 0, task_filter)
             assert np.array_equal(increases, expected)
 
     def test_export_identical_across_stores(self, pair, tmp_path):
-        trace, columnar = pair
+        trace, mapped = pair
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
         counters = [trace.counter_descriptions[0].name]
-        object_path = tmp_path / "object.csv"
-        columnar_path = tmp_path / "columnar.csv"
-        rows = correlation.export_task_table(trace, str(object_path),
+        built_path = tmp_path / "built.csv"
+        mapped_path = tmp_path / "mapped.csv"
+        rows = correlation.export_task_table(trace, str(built_path),
                                              counters=counters)
         assert rows == correlation.export_task_table(
-            columnar, str(columnar_path), counters=counters)
-        assert object_path.read_text() == columnar_path.read_text()
+            mapped, str(mapped_path), counters=counters)
+        assert built_path.read_text() == mapped_path.read_text()
 
 
 class TestDerivedParity:
     def test_materialized_series_identical(self, pair):
-        trace, columnar = pair
+        trace, mapped = pair
         menu = DerivedMetricMenu()
         menu.add(WorkersInState(state=int(WorkerState.IDLE)))
         menu.add(AverageTaskDuration())
         menu.add(AverageTaskDuration().derivative(), name="derivative")
         menu.add(WorkersInState(state=int(WorkerState.RUNNING))
                  / AverageTaskDuration(), name="ratio")
-        object_series = menu.materialize_all(trace, num_intervals=40)
-        columnar_series = menu.materialize_all(columnar,
+        built_series = menu.materialize_all(trace, num_intervals=40)
+        mapped_series = menu.materialize_all(mapped,
                                                num_intervals=40)
-        assert sorted(object_series) == sorted(columnar_series)
-        for name, series in object_series.items():
-            other = columnar_series[name]
+        assert sorted(built_series) == sorted(mapped_series)
+        for name, series in built_series.items():
+            other = mapped_series[name]
             assert np.array_equal(series.edges, other.edges), name
             assert np.array_equal(series.values, other.values), name
 
@@ -530,14 +534,14 @@ class TestPyramidParity:
         trace = make_random_trace(seed, events_per_core=50)
         path = str(tmp_path / "pyramid.ost")
         write_trace(trace, path, chunk_records=64)
-        plain = read_trace(path, columnar=True, cache=False)
+        parsed = read_trace(path)
         read_trace(path, cache=True)            # writes the sidecar
         mapped = read_trace(path, cache=True)   # maps it back
         assert mapped.pyramids is not None
         chrome = str(tmp_path / "pyramid.json")
         export_chrome(trace, chrome)
-        ingested = ingest_trace(chrome, columnar=True)
-        return (("object", trace), ("columnar", plain),
+        ingested = ingest_trace(chrome)
+        return (("built", trace), ("parsed", parsed),
                 ("mapped", mapped), ("ingested", ingested))
 
     def parity_views(self, trace):

@@ -31,7 +31,7 @@ from repro.analysis.experiments import (DiffTolerances, EXACT,
                                         sweep_table, synthetic_sweep)
 from repro.trace_format import (read_trace, streaming_statistics,
                                 streaming_task_histogram)
-from trace_gen import make_random_trace
+from trace_gen import make_random_trace, mapped_copy
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -212,10 +212,11 @@ class TestDiffEngine:
         assert report.is_empty
         assert report.to_dict()["deviations"] == []
 
-    def test_self_diff_empty_across_stores(self):
+    def test_self_diff_empty_across_stores(self, tmp_path):
         trace = make_random_trace(3, events_per_core=20)
-        assert diff_traces(trace, trace.to_columnar(), EXACT).is_empty
-        assert diff_traces(trace.to_columnar(), trace, EXACT).is_empty
+        mapped = mapped_copy(trace, tmp_path)
+        assert diff_traces(trace, mapped, EXACT).is_empty
+        assert diff_traces(mapped, trace, EXACT).is_empty
 
     def test_loose_tolerance_hides_small_deviations(self):
         baseline = make_random_trace(7, events_per_core=25)
@@ -276,7 +277,7 @@ class TestGoldenDiff:
 class TestComparisonRendering:
     def test_side_by_side_stacks_every_trace(self, suite):
         __, paths = suite
-        traces = [read_trace(path, columnar=True) for path in paths]
+        traces = [read_trace(path) for path in paths]
         fb = render_timelines_side_by_side(traces, width=64,
                                            lane_height=2, gap=1)
         lanes = sum(2 * trace.num_cores for trace in traces)
@@ -286,7 +287,7 @@ class TestComparisonRendering:
 
     def test_side_by_side_respects_window(self, suite):
         __, paths = suite
-        trace = read_trace(paths[0], columnar=True)
+        trace = read_trace(paths[0])
         fb = render_timelines_side_by_side(
             [trace], width=32, lane_height=1,
             start=trace.begin, end=trace.begin + 10)
@@ -314,7 +315,7 @@ class TestComparisonRendering:
 
     def test_state_overlay_one_color_per_trace(self, suite):
         __, paths = suite
-        traces = [read_trace(path, columnar=True) for path in paths]
+        traces = [read_trace(path) for path in paths]
         fb, legend = render_state_overlay(traces, width=48, height=24)
         assert len(legend) == len(traces)
         assert fb.width == 48

@@ -212,7 +212,7 @@ class TestRegistryDispatch:
         trace = make_random_trace(4, events_per_core=10)
         path = tmp_path / "t.prv"
         export_paraver(trace, str(path))
-        columnar = ingest_trace(str(path), columnar=True)
+        columnar = ingest_trace(str(path))
         assert isinstance(columnar, ColumnarTrace)
         assert len(columnar.tasks) == len(trace.tasks)
 

@@ -190,7 +190,7 @@ class TestParaverImport:
         from repro.core.columnar import ColumnarTrace
         path = tmp_path / "col.prv"
         export_paraver(seidel_trace_small, str(path))
-        columnar = import_paraver(str(path), columnar=True)
+        columnar = import_paraver(str(path))
         assert isinstance(columnar, ColumnarTrace)
         assert len(columnar.tasks) == len(seidel_trace_small.tasks)
 

@@ -2,10 +2,10 @@
 
 A seeded random trace generator (``trace_gen.py``) drives
 write -> read -> compare over every record kind, across plain,
-compressed and chunk-indexed files, and pins down that the
-object <-> columnar conversions are lossless.  The oracle is
-:func:`repro.core.traces_equal`, which compares record multisets
-exactly (including counter-sample floats).
+compressed and chunk-indexed files, time windows and the mapped
+``.ostc`` sidecar.  The oracle is :func:`repro.core.traces_equal`,
+which compares record multisets exactly (including counter-sample
+floats).
 """
 
 import numpy as np
@@ -40,11 +40,13 @@ class TestFileRoundTrip:
 
     def test_columnar_reader_equals_object_reader(self, random_trace,
                                                   tmp_path):
+        """``read_trace``'s ``columnar`` flag has no effect: either
+        value reads the same store."""
         path = str(tmp_path / "trace.ost")
         write_trace(random_trace, path, chunk_records=64)
         columnar = read_trace(path, columnar=True)
         assert traces_equal(columnar, read_trace(path))
-        assert traces_equal(columnar, random_trace.to_columnar())
+        assert traces_equal(columnar, random_trace)
 
     def test_indexed_file_has_an_index(self, random_trace, tmp_path):
         path = str(tmp_path / "trace.ost")
@@ -59,19 +61,9 @@ class TestFileRoundTrip:
         path = str(tmp_path / "sparse.ost")
         write_trace(trace, path, chunk_records=64)
         assert traces_equal(read_trace(path), trace)
-        assert traces_equal(read_trace(path, columnar=True), trace)
 
 
 class TestColumnarConversion:
-    def test_object_columnar_object_is_lossless(self, random_trace):
-        assert traces_equal(random_trace.to_columnar().to_objects(),
-                            random_trace)
-
-    def test_columnar_object_columnar_is_lossless(self, random_trace):
-        columnar = random_trace.to_columnar()
-        assert traces_equal(columnar.to_objects().to_columnar(),
-                            columnar)
-
     def test_equality_is_actually_discriminating(self, random_trace):
         other = make_random_trace(10_001)
         assert not traces_equal(random_trace, other)
@@ -80,14 +72,16 @@ class TestColumnarConversion:
 class TestWindowExtraction:
     def test_columnar_window_equals_object_window(self, random_trace,
                                                   tmp_path):
+        """The chunk-seeking window equals the full-scan fold and the
+        zero-copy slice of the in-memory store."""
         path = str(tmp_path / "trace.ost")
         write_trace(random_trace, path, chunk_records=64)
         span = random_trace.end - random_trace.begin
         start = random_trace.begin + span // 4
         end = start + max(span // 3, 1)
         window = split_time_window(path, start, end)
-        assert traces_equal(
-            split_time_window(path, start, end, columnar=True), window)
+        assert traces_equal(random_trace.slice_time_window(start, end),
+                            window)
         assert traces_equal(
             build_window(stream_records(path), start, end), window)
 
@@ -117,7 +111,7 @@ class TestMappedCache:
         from repro.core.anomalies import scan
         path = str(tmp_path / "trace.ost")
         write_trace(random_trace, path, chunk_records=64)
-        parsed = read_trace(path, columnar=True)
+        parsed = read_trace(path)
         mapped = read_trace(path, cache=True)   # writes, then maps
         mapped = read_trace(path, cache=True)   # second open: the map
         assert traces_equal(mapped, parsed)
@@ -148,5 +142,4 @@ class TestMappedCache:
             assert traces_equal(mapped.slice_time_window(start, end),
                                 window)
             assert traces_equal(
-                split_time_window(path, start, end, columnar=True,
-                                  cache=True), window)
+                split_time_window(path, start, end, cache=True), window)

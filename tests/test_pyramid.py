@@ -11,7 +11,7 @@ from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_timeline)
 from repro.render.counter_overlay import (_column_extremes,
                                           _column_extremes_zoomed)
-from trace_gen import make_random_trace
+from trace_gen import make_random_trace, mapped_copy
 
 
 def brute_dominant(starts, ends, states, t0, t1):
@@ -102,7 +102,7 @@ class TestStateIndex:
 
 class TestStateTiles:
     def test_tiles_match_brute_force(self):
-        trace = make_random_trace(7, events_per_core=40).to_columnar()
+        trace = make_random_trace(7, events_per_core=40)
         for core in (0, 1):
             lane = trace.states.lane(core)
             tiles = trace.state_tiles(core)
@@ -122,7 +122,7 @@ class TestStateTiles:
                     assert events[i] == expected, (level, i)
 
     def test_level_for_width_picks_coarsest_sufficient(self):
-        trace = make_random_trace(7, events_per_core=40).to_columnar()
+        trace = make_random_trace(7, events_per_core=40)
         tiles = trace.state_tiles(0)
         counts = tiles.level_counts()
         assert counts == [16, 64, 256, 1024]
@@ -214,9 +214,9 @@ class TestDeepZoomCounterKernel:
         for x, vmin, vmax in zip(xs, vmins, vmaxs):
             assert (vmin, vmax) == columns[int(x)], x
 
-    def test_deep_zoom_render_parity_both_stores(self):
+    def test_deep_zoom_render_parity_both_stores(self, tmp_path):
         trace = make_random_trace(5, events_per_core=50)
-        columnar = trace.to_columnar()
+        mapped = mapped_copy(trace, tmp_path)
         base = TimelineView.fit(trace, width=100, height=40)
         deep = base.zoom(max(trace.duration, 2))
         for view in (deep, TimelineView(trace.begin, trace.begin + 60,
@@ -225,7 +225,7 @@ class TestDeepZoomCounterKernel:
             reference = Framebuffer(view.width, view.height)
             calls = render_counter(trace, 0, view, reference,
                                    vectorized=False)
-            for store in (trace, columnar):
+            for store in (trace, mapped):
                 fb = Framebuffer(view.width, view.height)
                 assert render_counter(store, 0, view, fb) == calls
                 assert np.array_equal(fb.pixels, reference.pixels)
@@ -247,14 +247,14 @@ class TestEmptyLaneGuards:
             xs, vmins, vmaxs = kernel(timestamps, values, view)
             assert len(xs) == len(vmins) == len(vmaxs) == 0
 
-    def test_render_empty_core_draws_nothing_both_stores(self):
+    def test_render_empty_core_draws_nothing_both_stores(self, tmp_path):
         trace = make_random_trace(9, events_per_core=20)
-        columnar = trace.to_columnar()
+        mapped = mapped_copy(trace, tmp_path)
         absent = 999          # a counter no core ever sampled
         assert all(len(trace.counter_samples(core, absent)[0]) == 0
                    for core in range(trace.num_cores))
         view = TimelineView.fit(trace, width=80, height=30)
-        for store in (trace, columnar):
+        for store in (trace, mapped):
             for core in range(trace.num_cores):
                 for vectorized in (True, False):
                     fb = Framebuffer(view.width, view.height)
@@ -266,9 +266,9 @@ class TestEmptyLaneGuards:
 
 
 class TestIndexedTimeline:
-    def test_indexed_matches_reference_both_regimes(self):
+    def test_indexed_matches_reference_both_regimes(self, tmp_path):
         trace = make_random_trace(13, events_per_core=50)
-        columnar = trace.to_columnar()
+        mapped = mapped_copy(trace, tmp_path)
         base = TimelineView.fit(trace, width=160,
                                 height=5 * trace.num_cores)
         views = (base, base.zoom(6),
@@ -276,7 +276,7 @@ class TestIndexedTimeline:
         for view in views:
             reference = render_timeline(trace, StateMode(), view,
                                         indexed=False)
-            for store in (trace, columnar):
+            for store in (trace, mapped):
                 fb = render_timeline(store, StateMode(), view)
                 assert np.array_equal(fb.pixels, reference.pixels), view
                 assert fb.draw_calls == reference.draw_calls, view
@@ -284,7 +284,7 @@ class TestIndexedTimeline:
     def test_unindexable_lane_falls_back(self):
         """Lanes whose index cannot be built (within-state overlap)
         render through the reference path instead of wrong pixels."""
-        trace = make_random_trace(13, events_per_core=30).to_columnar()
+        trace = make_random_trace(13, events_per_core=30)
         view = TimelineView.fit(trace, width=64,
                                 height=4 * trace.num_cores)
         reference = render_timeline(trace, StateMode(), view,

@@ -228,3 +228,36 @@ class TestMergeCounterSeries:
         __, totals = aggregate_counter_series(merged,
                                               "os_resident_kb", 10)
         assert totals[-1] > 0
+
+
+class TestSingleStore:
+    def test_every_producer_builds_a_columnar_trace(self, tmp_path,
+                                                    seidel_trace_small):
+        """The simulator, every reader and importer, window extraction,
+        salvage and counter merging all produce the one store type."""
+        from repro.core import ColumnarTrace, merge_counter_series
+        from repro.trace_format import (build_window, export_chrome,
+                                        export_paraver, ingest_trace,
+                                        read_trace, read_trace_stream,
+                                        salvage_trace, split_time_window,
+                                        stream_records, write_trace)
+        from trace_gen import make_random_trace
+        trace = make_random_trace(3, events_per_core=20)
+        path = str(tmp_path / "trace.ost")
+        write_trace(trace, path, chunk_records=64)
+        export_paraver(trace, str(tmp_path / "trace.prv"))
+        export_chrome(trace, str(tmp_path / "trace.json"))
+        start, end = trace.begin, trace.begin + trace.duration // 2
+        with open(path, "rb") as stream:
+            produced = [seidel_trace_small, read_trace(path),
+                        read_trace_stream(stream)]
+        produced += [ingest_trace(str(tmp_path / name))
+                     for name in ("trace.ost", "trace.prv", "trace.json")]
+        produced += [split_time_window(path, start, end),
+                     build_window(stream_records(path), start, end),
+                     salvage_trace(path)[0],
+                     merge_counter_series(trace, trace)]
+        read_trace(path, cache=True)                # writes the sidecar
+        produced.append(split_time_window(path, start, end, cache=True))
+        assert [type(store) for store in produced] == \
+            [ColumnarTrace] * 11

@@ -4,34 +4,12 @@ import io
 
 import pytest
 
-from repro.core import CounterDescription, TopologyInfo, TraceBuilder
+from repro.core import (CounterDescription, TopologyInfo, TraceBuilder,
+                        traces_equal)
 from repro.trace_format import (FormatError, codec_for_path,
                                 open_trace_file, read_trace,
                                 read_trace_stream, write_trace)
 from repro.trace_format.writer import TraceWriter
-
-
-def traces_equal(first, second):
-    assert first.topology == second.topology
-    assert first.counter_descriptions == second.counter_descriptions
-    assert first.task_types == second.task_types
-    assert first.regions == second.regions
-    for table in ("states", "tasks", "discrete"):
-        a = getattr(first, table).columns
-        b = getattr(second, table).columns
-        for name in a:
-            assert (a[name] == b[name]).all(), (table, name)
-    for name in first.comm:
-        assert (first.comm[name] == second.comm[name]).all()
-    for name in first.accesses:
-        assert (first.accesses[name] == second.accesses[name]).all()
-    assert set(first.counter_series) == set(second.counter_series)
-    for key in first.counter_series:
-        t1, v1 = first.counter_series[key]
-        t2, v2 = second.counter_series[key]
-        assert (t1 == t2).all()
-        assert v1 == pytest.approx(v2)
-    return True
 
 
 class TestRoundtrip:
@@ -157,3 +135,46 @@ class TestErrors:
         path.write_bytes(struct.pack("<4sI", MAGIC, 99))
         with pytest.raises(FormatError):
             read_trace(str(path))
+
+
+class TestCounterDescriptionSlots:
+    """Static records may come in any order: every reader puts each
+    counter description in its id's slot, and a second description of
+    one id is a format error."""
+
+    @pytest.fixture(params=("read_trace", "build_window", "salvage"))
+    def read(self, request):
+        from repro.trace_format import (build_window, salvage_trace,
+                                        stream_records)
+        return {"read_trace": read_trace,
+                "build_window": lambda path: build_window(
+                    stream_records(path), 0, 10),
+                "salvage": lambda path: salvage_trace(path)[0],
+                }[request.param]
+
+    def write(self, path, descriptions):
+        with open(path, "wb") as stream:
+            writer = TraceWriter(stream)
+            writer.topology(TopologyInfo(1, 1))
+            for description in descriptions:
+                writer.counter_description(description)
+            writer.counter_sample(0, 0, 5, 1.0)
+
+    def test_out_of_order_descriptions_fill_their_slots(self, tmp_path,
+                                                        read):
+        path = str(tmp_path / "counters.ost")
+        self.write(path, [CounterDescription(2, "cycles"),
+                          CounterDescription(0, "misses", False)])
+        trace = read(path)
+        assert trace.counter_descriptions == [
+            CounterDescription(0, "misses", False),
+            CounterDescription(1, "__unused_1"),
+            CounterDescription(2, "cycles")]
+        assert trace.counter_name(0) == "misses"
+
+    def test_repeated_id_is_a_format_error(self, tmp_path, read):
+        path = str(tmp_path / "repeated.ost")
+        self.write(path, [CounterDescription(0, "misses"),
+                          CounterDescription(0, "cycles")])
+        with pytest.raises(FormatError, match="described twice"):
+            read(path)

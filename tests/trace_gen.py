@@ -1,24 +1,27 @@
 """Seeded random trace generator shared by the property-based and
 parity test suites.
 
-Builds an in-memory :class:`~repro.core.trace.Trace` containing every
-record kind with randomized-but-valid content: per-core monotone,
-non-overlapping state and task intervals, monotone counter samples,
-discrete/communication events, memory accesses into randomly placed
-regions, and the full static preamble.  Everything is derived from one
-``random.Random(seed)``, so a seed pins the trace exactly.
+Builds an in-memory :class:`~repro.core.columnar.ColumnarTrace`
+containing every record kind with randomized-but-valid content:
+per-core monotone, non-overlapping state and task intervals, monotone
+counter samples, discrete/communication events, memory accesses into
+randomly placed regions, and the full static preamble.  Everything is
+derived from one ``random.Random(seed)``, so a seed pins the trace
+exactly.  :func:`mapped_copy` maps a store back from its ``.ostc``
+sidecar, so tests can run on both production paths.
 """
 
 import random
 
 from repro.core import (RegionInfo, TaskTypeInfo, TopologyInfo,
                         TraceBuilder)
+from repro.trace_format import load_cache, write_cache
 
 PAGE = 4096
 
 
 def make_random_trace(seed, events_per_core=40, sparse=False):
-    """A deterministic random :class:`Trace` exercising every record
+    """A deterministic random trace store exercising every record
     kind.  ``sparse=True`` drops some record kinds entirely (the trace
     format is incremental — readers must cope with missing kinds)."""
     rng = random.Random(seed)
@@ -91,3 +94,12 @@ def make_random_trace(seed, events_per_core=40, sparse=False):
                                            rng.random() * 1e9)
             clock = end + rng.randint(0, 60)
     return builder.build()
+
+
+def mapped_copy(trace, directory):
+    """``trace`` written to an ``.ostc`` sidecar in ``directory`` and
+    mapped back — the store's other production path, which serves the
+    persisted render pyramids instead of building them."""
+    sidecar = str(directory / "mapped_copy.ostc")
+    write_cache(trace, sidecar)
+    return load_cache(sidecar)
