@@ -51,8 +51,9 @@ from bench_json import record
 from figutils import write_result
 from repro.core import anomalies, correlation, traces_equal
 from repro.core.statistics import interval_report
-from repro.render import (Framebuffer, TimelineView, render_counter,
-                          render_discrete_events)
+from repro import render
+from repro.render import (Framebuffer, TimelineView, reference,
+                          render_counter)
 from repro.trace_format import read_trace, write_synthetic_trace
 
 _EVENTS = {"small": 60_000, "default": 1_000_000, "paper": 4_000_000}
@@ -90,14 +91,16 @@ def _frame_views(trace, frames=12):
 
 
 def _render_frames(store, views, vectorized):
-    """Render every frame of the script; returns the framebuffers."""
+    """Render every frame of the script through the batched kernels
+    (``vectorized``) or the scalar loops of
+    :mod:`repro.render.reference`; returns the framebuffers."""
+    kernels = render if vectorized else reference
     frames = []
     for view in views:
         fb = Framebuffer(view.width, view.height)
         for core in RENDER_CORES:
-            render_counter(store, 0, view, fb, core=core,
-                           vectorized=vectorized)
-        render_discrete_events(store, view, fb, vectorized=vectorized)
+            kernels.render_counter(store, 0, view, fb, core=core)
+        kernels.render_discrete_events(store, view, fb)
         frames.append(fb.pixels)
     return frames
 
@@ -262,7 +265,7 @@ def test_deep_zoom_frame(scale, interactive_trace):
     center = (store.begin + store.end) // 2
     view = replace(fit, start=int(center - span // 2),
                    end=int(center - span // 2 + span))
-    assert view.duration < view.width         # the zoomed kernel path
+    assert view.duration < view.width         # the per-cycle grid
 
     def deep_frame():
         fb = Framebuffer(FRAME_WIDTH, FRAME_HEIGHT)
@@ -271,8 +274,8 @@ def test_deep_zoom_frame(scale, interactive_trace):
     deep_frame()                              # warm the memoized tree
     deep_ms = 1e3 * min(_timed(deep_frame)[0] for __ in range(9))
     write_result("ext_interactive_deep_zoom", [
-        "Extension: deep-zoom counter frame (duration < width) via",
-        "the batched widened-pixel kernel (Fig. 21b regime).",
+        "Extension: deep-zoom counter frame (duration < width): the",
+        "batched kernel on the per-cycle pixel grid (Fig. 21b).",
         "trace: {} records, view span {} cycles".format(records, span),
         "deep-zoom frame: {:.3f} ms (required: < 1 ms, any scale)"
         .format(deep_ms),

@@ -12,7 +12,6 @@ Mapping: docs/paper-mapping.md.
 import numpy as np
 
 from figutils import write_result
-from repro.core import CounterIndex
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_timeline)
 
@@ -67,12 +66,10 @@ def test_counter_rendering_optimized(benchmark, seidel_opt):
     """Fig. 21: one min/max vertical line per pixel vs per-sample lines."""
     trace = dense_counter_trace()
     view = TimelineView.fit(trace, 800, 200)
-    index = CounterIndex(trace)
 
     def optimized():
         fb = Framebuffer(view.width, 200)
-        return render_counter(trace, "dense", view, fb, core=0,
-                              counter_index=index)
+        return render_counter(trace, "dense", view, fb, core=0)
 
     calls = benchmark(optimized)
     naive_fb = Framebuffer(view.width, 200)

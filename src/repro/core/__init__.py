@@ -30,7 +30,7 @@ from .filters import (AllTasks, CoreFilter, DurationFilter, IntervalFilter,
 from .index import (counter_samples_in_interval, discrete_in_interval,
                     interval_slice, point_slice, states_in_interval,
                     tasks_in_interval)
-from .interval_tree import CounterIndex, MinMaxTree, segment_minmax
+from .interval_tree import MinMaxTree, segment_minmax
 from .pyramid import StateIndex, StateTiles, build_state_tiles
 from .metrics import (aggregate_counter_series,
                       average_task_duration_series,
@@ -80,11 +80,11 @@ __all__ = [
     "IntervalFilter", "NumaNodeFilter", "PredicateFilter", "TaskFilter",
     "TaskTypeFilter", "filtered_tasks", "counter_samples_in_interval",
     "discrete_in_interval", "interval_slice", "point_slice",
-    "states_in_interval", "tasks_in_interval", "CounterIndex",
-    "MinMaxTree", "segment_minmax", "StateIndex", "StateTiles",
-    "build_state_tiles", "aggregate_counter_series",
-    "average_task_duration_series", "bytes_between_nodes_series",
-    "counter_derivative_series", "counter_ratio_series",
+    "states_in_interval", "tasks_in_interval", "MinMaxTree",
+    "segment_minmax", "StateIndex", "StateTiles", "build_state_tiles",
+    "aggregate_counter_series", "average_task_duration_series",
+    "bytes_between_nodes_series", "counter_derivative_series",
+    "counter_ratio_series",
     "discrete_derivative", "interval_edges", "state_count_series",
     "task_duration_stats", "average_remote_fraction", "task_node_bytes",
     "task_predominant_nodes", "task_remote_fractions", "IntervalReport",

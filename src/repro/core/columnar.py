@@ -399,9 +399,8 @@ class ColumnarTrace:
         time; memoizing them on the store gives the same effect lazily:
         the first frame of a counter overlay builds the tree, every
         later zoom/pan frame reuses it.  Shared by
-        :class:`~repro.core.interval_tree.CounterIndex`,
         :func:`~repro.render.counter_overlay.value_bounds` and the
-        vectorized render kernels.
+        counter render kernel.
         """
         from .interval_tree import DEFAULT_ARITY, MinMaxTree
         arity = DEFAULT_ARITY if arity is None else arity
@@ -451,8 +450,8 @@ class ColumnarTrace:
         Served from the sidecar's persisted pyramid on memory-mapped
         stores, built lazily from the state lane otherwise; ``None``
         when the lane cannot be indexed (overlapping intervals within
-        a state), in which case rendering falls back to the reference
-        walk.  See :class:`repro.core.pyramid.StateIndex`.
+        a state), in which case rendering falls back to the lane
+        scan.  See :class:`repro.core.pyramid.StateIndex`.
         """
         from .pyramid import StateIndex
         cache = self._state_indexes

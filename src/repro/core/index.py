@@ -16,6 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def grid_edges(begin, end, count):
+    """The ``count + 1`` integer edges that cut ``[begin, end)`` into
+    ``count`` bins: ``begin + (end - begin) * x // count``.  This is
+    the one formula behind both the timeline's pixel grid and the
+    state pyramid's tiles, so a tile level of the view's width lines
+    up with its pixels exactly."""
+    x = np.arange(count + 1, dtype=np.int64)
+    return int(begin) + (int(end) - int(begin)) * x // count
+
+
 def interval_slice(starts, ends, query_start, query_end):
     """Slice of sorted, non-overlapping intervals overlapping a query.
 

@@ -257,39 +257,3 @@ class MinMaxTree:
             level += 1
         return float(minimum), float(maximum)
 
-
-class CounterIndex:
-    """Per-(core, counter) min/max trees for a whole trace, built lazily
-    on first use (the paper builds them at load time; lazy construction
-    gives the same complexity without penalizing unused counters)."""
-
-    def __init__(self, trace, arity=DEFAULT_ARITY):
-        self.trace = trace
-        self.arity = arity
-        self._trees = {}
-
-    def tree(self, core, counter_id):
-        """The (lazily built) min/max tree of one (core, counter)."""
-        memoized = getattr(self.trace, "minmax_tree", None)
-        if memoized is not None:
-            # Share the per-(core, counter) trees memoized on the trace
-            # store, so repeated zoom/pan frames (and every other
-            # CounterIndex over the same trace) reuse one tree.
-            return memoized(core, counter_id, arity=self.arity)
-        key = (core, counter_id)
-        tree = self._trees.get(key)
-        if tree is None:
-            __, values = self.trace.counter_samples(core, counter_id)
-            tree = MinMaxTree(values, arity=self.arity)
-            self._trees[key] = tree
-        return tree
-
-    def query_time_range(self, core, counter_id, start, end):
-        """(min, max) of a counter on a core within the half-open time
-        interval [start, end), or ``None`` if it contains no samples."""
-        timestamps, __ = self.trace.counter_samples(core, counter_id)
-        lo = int(np.searchsorted(timestamps, start, side="left"))
-        hi = int(np.searchsorted(timestamps, end, side="left"))
-        if lo >= hi:
-            return None
-        return self.tree(core, counter_id).query(lo, hi)

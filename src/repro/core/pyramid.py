@@ -6,9 +6,10 @@ the timeline side: per-core *state pyramids* that answer the two
 questions a frame asks — "which state dominates this pixel's time
 interval?" and "how busy is this tile?" — without scanning the state
 lane.  Both structures are exact (no sampling), so the pyramid-served
-render path stays bit-identical to the scalar reference walk, and both
+render path stays bit-identical to the lane-scanning kernel, and both
 serialize as flat integer arrays, so the ``.ostc`` sidecar can persist
-them and map them back lazily.
+them and map them back lazily.  Both bin time with
+:func:`repro.core.index.grid_edges`, the pixel grid's own formula.
 
 Two layers:
 
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .index import grid_edges
+
 #: Tile counts of the pyramid levels, coarse to fine; levels wider
 #: than the trace span are dropped at build time.
 TILE_LEVEL_COUNTS = (16, 64, 256, 1024)
@@ -38,7 +41,7 @@ class StateIndex:
     Intervals are grouped by state id (ascending); within each group
     they are sorted by start and non-overlapping (guaranteed per core
     by construction of the lane — :meth:`build` validates and returns
-    ``None`` otherwise, letting callers fall back to the scalar walk).
+    ``None`` otherwise, letting callers fall back to the lane scan).
     ``cum`` holds, per group, the running sum of interval durations
     with a leading zero, so the coverage of a group up to time ``t``
     is one ``searchsorted`` plus at most one partial interval.
@@ -109,23 +112,11 @@ class StateIndex:
     def pixel_keys(self, view):
         """Exactly-dominant state per pixel column (-1 where nothing
         is visible) — the pyramid-served replacement for
-        :func:`repro.render.timeline._predominant_keys`, valid in both
-        zoom regimes because each pixel's interval is widened to one
-        cycle exactly like ``TimelineView.pixel_interval``."""
-        result = np.full(view.width, -1, dtype=np.int64)
-        if self.num_states == 0:
-            return result
-        x = np.arange(view.width + 1, dtype=np.int64)
-        edges = view.start + view.duration * x // view.width
-        t0 = edges[:-1]
-        t1 = np.maximum(edges[1:], t0 + 1)
-        coverage = self.coverage_before(t1) - self.coverage_before(t0)
-        # argmax picks the first (smallest) state on ties, matching the
-        # reference walk's max(coverage, key=(coverage, -key)).
-        best = np.argmax(coverage, axis=1)
-        covered = coverage[np.arange(view.width), best] > 0
-        result[covered] = self.state_ids[best[covered]]
-        return result
+        :func:`repro.render.timeline._predominant_keys`, binned on the
+        view's :meth:`~repro.render.timeline.TimelineView.pixel_grid`
+        so it holds in both zoom regimes."""
+        edges, pick = view.pixel_grid()
+        return self.dominant_in_edges(edges)[pick]
 
     def dominant_in_edges(self, edges):
         """Exactly-dominant state of each ``[edges[i], edges[i+1])``
@@ -148,9 +139,10 @@ class StateTiles:
 
     ``levels`` is a coarse-to-fine list of ``(dominant, events)`` int64
     array pairs tiling ``[begin, end)``; tile ``i`` of an ``n``-tile
-    level spans ``[edges[i], edges[i+1])`` with the same integer edge
-    formula the pixel grid uses, so a width-``n`` overview strip reads
-    one persisted level and touches nothing else.
+    level spans ``[edges[i], edges[i+1])`` with the pixel grid's own
+    edge formula (:func:`~repro.core.index.grid_edges`), so a
+    width-``n`` overview strip reads one persisted level and touches
+    nothing else.
     """
 
     def __init__(self, begin, end, levels):
@@ -166,9 +158,8 @@ class StateTiles:
 
     def edges(self, level):
         """Tile edge timestamps of one level (length ``count + 1``)."""
-        count = len(self.levels[level][0])
-        x = np.arange(count + 1, dtype=np.int64)
-        return self.begin + (self.end - self.begin) * x // count
+        return grid_edges(self.begin, self.end,
+                          len(self.levels[level][0]))
 
     def level_for_width(self, width):
         """The coarsest level with at least ``width`` tiles (the finest
@@ -203,8 +194,7 @@ def build_state_tiles(index, lane_starts, begin, end):
     lane_starts = np.asarray(lane_starts, dtype=np.int64)
     levels = []
     for count in tile_level_counts(span):
-        x = np.arange(count + 1, dtype=np.int64)
-        edges = int(begin) + span * x // count
+        edges = grid_edges(begin, end, count)
         dominant = index.dominant_in_edges(edges)
         events = np.diff(np.searchsorted(lane_starts, edges,
                                          side="left"))

@@ -14,6 +14,9 @@ plain Python — no vectorization, no cleverness.  They are the
   hot paths are measured against
   (``benchmarks/bench_ext_outofcore.py``).
 
+Production code never imports this module (``tools/lint_lite.py``
+enforces that); :mod:`repro.render.reference` is its render half.
+
 All aggregates are integer sums, so "exactly equal" means bit-identical
 — including the final float divisions, which divide the same integers
 in the same order as the vectorized code.

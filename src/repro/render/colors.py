@@ -89,16 +89,11 @@ def numa_heat_color(remote_fraction):
     return tuple(int(channel) for channel in mixed)
 
 
-def matrix_red(fraction):
-    """White-to-deep-red ramp of the communication matrix (Fig. 15)."""
-    fraction = min(max(float(fraction), 0.0), 1.0)
-    return (255 - int(75 * fraction), int(255 * (1 - fraction)),
-            int(255 * (1 - fraction)))
-
-
 def matrix_red_array(fractions):
-    """Vectorized :func:`matrix_red`: an ``(..., 3)`` uint8 array with
-    exactly the same clamping and truncation, cell for cell."""
+    """White-to-deep-red ramp of the communication matrix (Fig. 15),
+    as an ``(..., 3)`` uint8 array: the per-cell
+    :func:`repro.render.reference.matrix_red`, with the same clamping
+    and truncation, for every cell at once."""
     fractions = np.clip(np.asarray(fractions, dtype=np.float64),
                         0.0, 1.0)
     red = 255 - (75 * fractions).astype(np.int64)

@@ -13,6 +13,10 @@ duration *heatmap*, the *typemap*, the *NUMA* read/write maps and the
 (c) the per-core event slice for the visible window is obtained with a
     binary search over the sorted per-core arrays.
 
+Every per-pixel kernel bins time on :meth:`TimelineView.pixel_grid`,
+the one place that knows how a view maps to pixel intervals — also
+below one cycle per pixel, where the intervals overlap.
+
 A ``optimized=False`` escape hatch renders naively (one rectangle per
 event) so the benchmarks can quantify the optimization.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core import numa as numa_analysis
-from ..core.index import interval_slice
+from ..core.index import grid_edges, interval_slice
 from ..core.metrics import overlap_per_bin
 from . import colors as palettes
 from .framebuffer import Framebuffer
@@ -70,6 +74,24 @@ class TimelineView:
         t0 = self.start + self.duration * x // self.width
         t1 = self.start + self.duration * (x + 1) // self.width
         return int(t0), int(max(t1, t0 + 1))
+
+    def pixel_grid(self):
+        """``(edges, pick)``: bin edges and each pixel's bin.
+
+        Pixel ``x`` covers exactly ``[edges[pick[x]], edges[pick[x] +
+        1])``, the interval :meth:`pixel_interval` reports, and
+        ``edges`` is strictly increasing, so a kernel reduces once per
+        bin and gathers per pixel with ``pick``.  With at least one
+        cycle per pixel the bins are the pixels (``pick`` is the
+        identity); below that every pixel interval is widened to one
+        cycle, so the bins are the view's cycles and neighbouring
+        pixels may pick the same one.
+        """
+        edges = grid_edges(self.start, self.end, self.width)
+        if self.duration >= self.width:
+            return edges, np.arange(self.width, dtype=np.int64)
+        return (np.arange(self.start, self.end + 1, dtype=np.int64),
+                edges[:-1] - self.start)
 
     def time_to_pixel(self, time):
         """Pixel column of a timestamp (unclipped)."""
@@ -117,7 +139,8 @@ class TimelineMode:
         """Predominant key per pixel straight from a per-trace index,
         or ``None`` to derive them from :meth:`lane_events` (the
         default).  Modes backed by a persisted pyramid override this
-        so a frame never touches the event lane."""
+        so a frame never touches the event lane; both give the same
+        keys."""
         return None
 
     def color_of(self, key):
@@ -145,15 +168,10 @@ class StateMode(TimelineMode):
         (persisted in the ``.ostc`` sidecar on mapped stores, memoized
         in memory otherwise): exact coverage via per-state prefix
         sums, O(width log n) per lane at any zoom, bit-identical to
-        the :func:`_predominant_keys` reference.  ``None`` when the
+        :func:`_predominant_keys` over the lane.  ``None`` when the
         lane cannot be indexed."""
-        indexed = getattr(trace, "state_index", None)
-        if indexed is None:
-            return None
-        index = indexed(core)
-        if index is None:
-            return None
-        return index.pixel_keys(view)
+        index = trace.state_index(core)
+        return None if index is None else index.pixel_keys(view)
 
     def color_of(self, key):
         """The state palette color of one state id."""
@@ -317,55 +335,40 @@ def timeline_mode(name):
     return factory()
 
 
-def _pixel_edges(view):
-    """The time stamps t0(x) of every pixel column, plus ``view.end``.
-
-    Valid as bin edges only when ``duration >= width`` — otherwise
-    :meth:`TimelineView.pixel_interval` widens zero-cycle pixels to one
-    cycle and adjacent pixel intervals overlap.
-    """
-    x = np.arange(view.width + 1, dtype=np.int64)
-    return view.start + view.duration * x // view.width
-
-
-def _pixel_spans(starts, ends, edges):
-    """First/last pixel column touched by each (clipped) event."""
-    width = len(edges) - 1
+def _bin_spans(starts, ends, edges):
+    """First/last grid bin touched by each (clipped) event."""
+    bins = len(edges) - 1
     first = np.clip(np.searchsorted(edges, starts, side="right") - 1,
-                    0, width - 1)
+                    0, bins - 1)
     last = np.clip(np.searchsorted(edges, ends, side="left") - 1,
-                   0, width - 1)
+                   0, bins - 1)
     return first, last
 
 
 def _predominant_keys(starts, ends, keys, view):
     """Predominant key per pixel column (-1 where nothing is visible).
 
-    Per-key pixel coverage is accumulated vectorized — partial first
-    and last pixels by scatter-add, fully covered interior pixels by a
-    per-key difference array — and the key with the largest coverage
-    wins the pixel: Section VI-B's "every pixel is drawn only once".
-    Views zoomed below one cycle per pixel (overlapping pixel
-    intervals) fall back to the scalar two-pointer walk.
+    Per-key coverage of each bin of the view's pixel grid is
+    accumulated vectorized — partial first and last bins by
+    scatter-add, fully covered interior bins by a per-key difference
+    array — and the key with the largest coverage wins: Section
+    VI-B's "every pixel is drawn only once".  Intervals may overlap
+    or nest (Chrome ``B``/``E`` spans); each counts its own overlap.
     """
-    result = np.full(view.width, -1, dtype=np.int64)
-    if len(starts) == 0:
-        return result
-    if view.duration < view.width:
-        return _predominant_keys_walk(starts, ends, keys, view)
+    edges, pick = view.pixel_grid()
+    bins = len(edges) - 1
+    result = np.full(bins, -1, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
     visible = (ends > view.start) & (starts < view.end) & (keys >= 0)
     if not visible.any():
-        return result
+        return result[pick]
     starts = np.clip(starts[visible], view.start, view.end)
     ends = np.clip(ends[visible], view.start, view.end)
     uniq, inverse = np.unique(keys[visible], return_inverse=True)
-    width = view.width
-    edges = _pixel_edges(view)
-    first, last = _pixel_spans(starts, ends, edges)
-    coverage = np.zeros((width, len(uniq)), dtype=np.int64)
+    first, last = _bin_spans(starts, ends, edges)
+    coverage = np.zeros((bins, len(uniq)), dtype=np.int64)
     head = (np.minimum(ends, edges[first + 1])
             - np.maximum(starts, edges[first]))
     np.add.at(coverage, (first, inverse), np.clip(head, 0, None))
@@ -375,96 +378,38 @@ def _predominant_keys(starts, ends, keys, view):
                 - edges[last[multi]])
         np.add.at(coverage, (last[multi], inverse[multi]),
                   np.clip(tail, 0, None))
-        covering = np.zeros((width + 1, len(uniq)), dtype=np.int64)
+        covering = np.zeros((bins + 1, len(uniq)), dtype=np.int64)
         np.add.at(covering, (first[multi] + 1, inverse[multi]), 1)
         np.add.at(covering, (last[multi], inverse[multi]), -1)
-        coverage += (np.cumsum(covering[:width], axis=0)
+        coverage += (np.cumsum(covering[:bins], axis=0)
                      * np.diff(edges)[:, None])
-    # argmax picks the first (smallest) key on coverage ties, matching
-    # the walk's max(coverage, key=(coverage, -key)) tie-break.
+    # argmax picks the first (smallest) key on coverage ties.
     best = np.argmax(coverage, axis=1)
-    covered = coverage[np.arange(width), best] > 0
+    covered = coverage[np.arange(bins), best] > 0
     result[covered] = uniq[best[covered]]
-    return result
-
-
-def _predominant_keys_walk(starts, ends, keys, view):
-    """Scalar two-pointer reference walk (overlapping-pixel views)."""
-    result = np.full(view.width, -1, dtype=np.int64)
-    count = len(starts)
-    event = 0
-    for x in range(view.width):
-        t0, t1 = view.pixel_interval(x)
-        while event < count and ends[event] <= t0:
-            event += 1
-        if event >= count or starts[event] >= t1:
-            continue
-        coverage = {}
-        cursor = event
-        while cursor < count and starts[cursor] < t1:
-            key = int(keys[cursor])
-            overlap = (min(int(ends[cursor]), t1)
-                       - max(int(starts[cursor]), t0))
-            if overlap > 0 and key >= 0:
-                coverage[key] = coverage.get(key, 0) + overlap
-            if ends[cursor] > t1:
-                break
-            cursor += 1
-        if coverage:
-            result[x] = max(coverage, key=lambda k: (coverage[k], -k))
-    return result
+    return result[pick]
 
 
 def _mean_values_per_pixel(starts, ends, values, view):
     """Coverage-weighted mean value per pixel (continuous modes).
 
     Two value-weighted/unweighted overlap-binning passes over the
-    pixel grid (the same difference-array kernel the derived metrics
-    use, :func:`repro.core.metrics.overlap_per_bin`) and a divide;
-    sub-cycle-pixel views fall back to the scalar walk like
-    :func:`_predominant_keys`.
+    view's pixel grid (the same difference-array kernel the derived
+    metrics use, :func:`repro.core.metrics.overlap_per_bin`) and a
+    divide.
     """
-    result = np.full(view.width, np.nan, dtype=np.float64)
+    edges, pick = view.pixel_grid()
+    result = np.full(len(edges) - 1, np.nan, dtype=np.float64)
     if len(starts) == 0:
-        return result
-    if view.duration < view.width:
-        return _mean_values_walk(starts, ends, values, view)
-    edges = _pixel_edges(view).astype(np.float64)
+        return result[pick]
+    edges = edges.astype(np.float64)
     weighted = overlap_per_bin(starts, ends, edges,
                                 weights=np.asarray(values,
                                                    dtype=np.float64))
     coverage = overlap_per_bin(starts, ends, edges)
     covered = coverage > 0
     result[covered] = weighted[covered] / coverage[covered]
-    return result
-
-
-def _mean_values_walk(starts, ends, values, view):
-    """Scalar two-pointer reference walk (overlapping-pixel views)."""
-    result = np.full(view.width, np.nan, dtype=np.float64)
-    count = len(starts)
-    event = 0
-    for x in range(view.width):
-        t0, t1 = view.pixel_interval(x)
-        while event < count and ends[event] <= t0:
-            event += 1
-        if event >= count or starts[event] >= t1:
-            continue
-        weighted = 0.0
-        total = 0
-        cursor = event
-        while cursor < count and starts[cursor] < t1:
-            overlap = (min(int(ends[cursor]), t1)
-                       - max(int(starts[cursor]), t0))
-            if overlap > 0:
-                weighted += float(values[cursor]) * overlap
-                total += overlap
-            if ends[cursor] > t1:
-                break
-            cursor += 1
-        if total:
-            result[x] = weighted / total
-    return result
+    return result[pick]
 
 
 def _paint_background(framebuffer, lane_height, lane_tops):
@@ -476,17 +421,17 @@ def _paint_background(framebuffer, lane_height, lane_tops):
 
 
 def render_timeline(trace, mode, view=None, framebuffer=None,
-                    optimized=True, indexed=True):
+                    optimized=True):
     """Render one timeline mode into a framebuffer.
 
     ``optimized=True`` uses predominant-pixel rendering with rectangle
     aggregation; ``optimized=False`` renders one rectangle per event
     (the naive approach of Fig. 20), useful only for benchmarking.
-    With ``indexed=True`` (default) a mode backed by a per-trace
-    pyramid (:meth:`TimelineMode.pixel_keys`) computes each lane's
-    per-pixel keys without touching the event lane; ``indexed=False``
-    keeps the lane-scanning path as the parity reference.  Both
-    produce bit-identical framebuffers and draw-call counts.
+    A mode backed by a per-trace pyramid
+    (:meth:`TimelineMode.pixel_keys`) computes each lane's per-pixel
+    keys without touching the event lane; a lane it cannot index
+    goes through the lane-scanning kernel, with bit-identical
+    framebuffers and draw-call counts.
     """
     view = TimelineView.fit(trace) if view is None else view
     if framebuffer is None:
@@ -497,7 +442,7 @@ def render_timeline(trace, mode, view=None, framebuffer=None,
     framebuffer.reset_counters()
     for core in range(trace.num_cores):
         top = lane_tops[core]
-        if optimized and indexed and not mode.continuous:
+        if optimized and not mode.continuous:
             pixel_keys = mode.pixel_keys(trace, core, view)
             if pixel_keys is not None:
                 _fill_key_runs(framebuffer, mode, pixel_keys, view, top,

@@ -172,15 +172,6 @@ class TestMemoizedTrees:
         for key, tree in trees_after_first.items():
             assert store._minmax_trees[key] is tree
 
-    def test_counter_index_shares_store_trees(self, trace_file):
-        from repro.core import CounterIndex
-        path, trace = trace_file
-        if not trace.counter_descriptions:
-            pytest.skip("trace without counters")
-        store = read_trace(path)
-        index = CounterIndex(store)
-        assert index.tree(0, 0) is store.minmax_tree(0, 0)
-
 
 class TestAtomicWrites:
     def test_mid_write_failure_keeps_previous_sidecar(self, trace_file,

@@ -8,8 +8,9 @@ produces *exactly* the same result as running on the same trace
 mapped back from its ``.ostc`` sidecar — whose render paths serve the
 persisted pyramids and tiles — with bit-identical arrays, equal
 floats and equal report text, on randomized traces.  The pure-Python
-dataclass walks in :mod:`repro.core.reference` tie both paths to the
-executable specification.
+dataclass walks in :mod:`repro.core.reference` and the per-pixel loops
+in :mod:`repro.render.reference` tie both paths to the executable
+specification.
 """
 
 import numpy as np
@@ -31,12 +32,13 @@ from repro.core.derived import (AverageTaskDuration, DerivedMetricMenu,
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_discrete_events,
                           render_matrix, render_timeline, value_bounds)
+from repro.render import reference as render_reference
 from repro.trace_format import (StreamingStatistics,
                                 TaskHistogramAccumulator, fold_records,
                                 stream_records, streaming,
                                 streaming_statistics,
                                 streaming_task_histogram, write_trace)
-from trace_gen import make_random_trace, mapped_copy
+from trace_gen import make_random_trace, mapped_copy, render_lane_scan
 
 SEEDS = (1, 2, 3)
 
@@ -385,13 +387,12 @@ class TestOverlayParity:
         for view in self.overlay_views(trace):
             for core in range(trace.num_cores):
                 frames = {}
-                for label, target, kwargs in (
-                        ("scalar", trace, {"vectorized": False}),
-                        ("built", trace, {}),
-                        ("mapped", mapped, {})):
+                for label, target, render in (
+                        ("scalar", trace, render_reference.render_counter),
+                        ("built", trace, render_counter),
+                        ("mapped", mapped, render_counter)):
                     fb = Framebuffer(view.width, view.height)
-                    calls = render_counter(target, 0, view, fb,
-                                           core=core, **kwargs)
+                    calls = render(target, 0, view, fb, core=core)
                     frames[label] = (calls, fb.pixels)
                 reference_calls, reference_pixels = frames["scalar"]
                 for label in ("built", "mapped"):
@@ -408,8 +409,8 @@ class TestOverlayParity:
                                                        num_intervals=60)
             for view in self.overlay_views(trace):
                 scalar_fb = Framebuffer(view.width, view.height)
-                scalar_calls = render_derived_series(
-                    series, view, scalar_fb, vectorized=False)
+                scalar_calls = render_reference.render_derived_series(
+                    series, view, scalar_fb)
                 vector_fb = Framebuffer(view.width, view.height)
                 vector_calls = render_derived_series(series, view,
                                                      vector_fb)
@@ -430,12 +431,12 @@ class TestOverlayParity:
         view = TimelineView.fit(trace, width=120,
                                 height=4 * trace.num_cores)
         results = {}
-        for label, target, kwargs in (
-                ("scalar", trace, {"vectorized": False}),
-                ("built", trace, {}),
-                ("mapped", mapped, {})):
+        for label, target, render in (
+                ("scalar", trace, render_reference.render_discrete_events),
+                ("built", trace, render_discrete_events),
+                ("mapped", mapped, render_discrete_events)):
             fb = Framebuffer(view.width, view.height)
-            markers = render_discrete_events(target, view, fb, **kwargs)
+            markers = render(target, view, fb)
             results[label] = (markers, fb.pixels)
         markers, pixels = results["scalar"]
         for label in ("built", "mapped"):
@@ -445,7 +446,7 @@ class TestOverlayParity:
     def test_matrix_render_identical(self, pair):
         trace, mapped = pair
         matrix = statistics.steal_matrix(trace).astype(np.float64)
-        expected = render_matrix(matrix, vectorized=False).pixels
+        expected = render_reference.render_matrix(matrix).pixels
         assert np.array_equal(render_matrix(matrix).pixels, expected)
         assert np.array_equal(
             render_matrix(statistics.steal_matrix(mapped)
@@ -555,8 +556,7 @@ class TestPyramidParity:
     def test_timeline_frames_match_reference(self, tmp_path):
         for label, store in self.stores(tmp_path):
             for view in self.parity_views(store):
-                reference_fb = render_timeline(store, StateMode(),
-                                               view, indexed=False)
+                reference_fb = render_lane_scan(store, StateMode(), view)
                 indexed_fb = render_timeline(store, StateMode(), view)
                 assert np.array_equal(indexed_fb.pixels,
                                       reference_fb.pixels), (label,
@@ -571,8 +571,8 @@ class TestPyramidParity:
             for view in self.parity_views(store):
                 for core in range(store.num_cores):
                     scalar = Framebuffer(view.width, view.height)
-                    calls = render_counter(store, 0, view, scalar,
-                                           core=core, vectorized=False)
+                    calls = render_reference.render_counter(
+                        store, 0, view, scalar, core=core)
                     served = Framebuffer(view.width, view.height)
                     assert render_counter(store, 0, view, served,
                                           core=core) == calls, \

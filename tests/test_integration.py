@@ -3,7 +3,7 @@ walks through, from simulation to trace file to rendered views."""
 
 import pytest
 
-from repro.core import (CounterIndex, TaskTypeFilter, WorkerState,
+from repro.core import (TaskTypeFilter, WorkerState,
                         average_task_duration_series, communication_matrix,
                         duration_vs_counter_rate, export_dot,
                         interval_report, reconstruct_task_graph,
@@ -84,7 +84,7 @@ class TestKmeansWorkflow:
         fb = render_timeline(trace, HeatmapMode(task_filter=compute),
                              view)
         calls = render_counter(trace, "branch_mispredictions", view, fb,
-                               core=0, counter_index=CounterIndex(trace))
+                               core=0)
         assert calls > 0
 
         # 3. Export per-task data and regress.

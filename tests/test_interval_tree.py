@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CounterIndex, MinMaxTree, segment_minmax
+from repro.core import MinMaxTree, segment_minmax
 
 
 class TestMinMaxTree:
@@ -63,34 +63,6 @@ class TestMinMaxTree:
                                    max_value=len(values)))
         expected = (min(values[lo:hi]), max(values[lo:hi]))
         assert tree.query(lo, hi) == pytest.approx(expected)
-
-
-class TestCounterIndex:
-    def test_query_matches_direct_scan(self, seidel_trace_small):
-        trace = seidel_trace_small
-        index = CounterIndex(trace)
-        counter_id = trace.counter_id("cache_misses")
-        core = 1
-        timestamps, values = trace.counter_samples(core, counter_id)
-        assert len(timestamps) > 4
-        lo_t = int(timestamps[1])
-        hi_t = int(timestamps[-2]) + 1
-        result = index.query_time_range(core, counter_id, lo_t, hi_t)
-        inside = values[(timestamps >= lo_t) & (timestamps < hi_t)]
-        assert result == pytest.approx((inside.min(), inside.max()))
-
-    def test_empty_interval_returns_none(self, seidel_trace_small):
-        trace = seidel_trace_small
-        index = CounterIndex(trace)
-        counter_id = trace.counter_id("cache_misses")
-        assert index.query_time_range(0, counter_id, -100, -50) is None
-
-    def test_trees_are_cached(self, seidel_trace_small):
-        index = CounterIndex(seidel_trace_small)
-        counter_id = seidel_trace_small.counter_id("cache_misses")
-        first = index.tree(0, counter_id)
-        second = index.tree(0, counter_id)
-        assert first is second
 
 
 class TestQuerySegments:

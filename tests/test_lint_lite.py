@@ -43,13 +43,36 @@ def test_each_check_fires(lint_lite, tmp_path):
             except KeyError as error:
                 return None
         ''') + "x = '" + "y" * 80 + "'\n")
+    production = tmp_path / "src" / "repro" / "render"
+    production.mkdir(parents=True)
+    planted = production / "planted.py"
+    planted.write_text(textwrap.dedent('''\
+        import repro.core.reference
+        from . import reference
+        from ..core.reference import state_time_summary
+        from ..render import framebuffer
+
+        __all__ = ["repro", "reference", "state_time_summary",
+                   "framebuffer"]
+        '''))
+    # The spec modules themselves, and code outside src/repro (tests,
+    # benchmarks), may import the spec.
+    (production / "reference.py").write_text(
+        "from ..core import reference\n\n__all__ = ['reference']\n")
+    (tmp_path / "bench.py").write_text(
+        "from repro.render import reference\n\n"
+        "__all__ = ['reference']\n")
     messages = [line.split(": ", 1)[1]
-                for line in lint_lite.lint([module])]
+                for line in lint_lite.lint([module, tmp_path / "src",
+                                            tmp_path / "bench.py"])]
     assert messages == [
         "unused import os",
         "local unused assigned but never used",
         "local error assigned but never used",
         "line has 86 columns (max 79)",
+        "production imports repro.core.reference",
+        "production imports repro.render.reference",
+        "production imports repro.core.reference",
     ]
 
 

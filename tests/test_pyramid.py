@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import MinMaxTree, StateIndex, build_state_tiles
 from repro.core.pyramid import tile_level_counts
 from repro.render import (Framebuffer, StateMode, TimelineView,
-                          render_counter, render_timeline)
-from repro.render.counter_overlay import (_column_extremes,
-                                          _column_extremes_zoomed)
-from trace_gen import make_random_trace, mapped_copy
+                          reference, render_counter, render_timeline)
+from repro.render.counter_overlay import _column_extremes
+from trace_gen import make_random_trace, mapped_copy, render_lane_scan
 
 
 def brute_dominant(starts, ends, states, t0, t1):
@@ -172,10 +171,9 @@ class TestFromLevels:
 
 
 class TestDeepZoomCounterKernel:
-    """The gather-based deep-zoom kernel must match the scalar
-    per-pixel loop bit for bit (satellite: `_pixel_edges` is only a
-    partition when duration >= width — the widened-interval regime
-    needs its own kernel)."""
+    """The one counter kernel must match the scalar per-pixel loop bit
+    for bit in both zoom regimes — also below one cycle per pixel,
+    where pixel intervals widen to one cycle and overlap."""
 
     @given(samples=st.lists(st.tuples(st.integers(0, 300),
                                       st.floats(-1e6, 1e6,
@@ -191,12 +189,13 @@ class TestDeepZoomCounterKernel:
                                 dtype=np.int64)
         values = np.asarray([v for __, v in samples], dtype=np.float64)
         view = TimelineView(start, start + span, width=width, height=16)
-        if view.duration >= view.width:
-            xs, vmins, vmaxs = _column_extremes(timestamps, values,
-                                                view)
-        else:
-            xs, vmins, vmaxs = _column_extremes_zoomed(timestamps,
-                                                       values, view)
+        tree = MinMaxTree(values, arity=2)
+        xs, vmins, vmaxs = _column_extremes(timestamps, values, view,
+                                            tree=tree)
+        plain = _column_extremes(timestamps, values, view)
+        assert np.array_equal(plain[0], xs)
+        assert np.array_equal(plain[1], vmins)
+        assert np.array_equal(plain[2], vmaxs)
         columns = {}
         for x in range(view.width):
             t0, t1 = view.pixel_interval(x)
@@ -222,13 +221,12 @@ class TestDeepZoomCounterKernel:
         for view in (deep, TimelineView(trace.begin, trace.begin + 60,
                                         width=100, height=40)):
             assert view.duration < view.width
-            reference = Framebuffer(view.width, view.height)
-            calls = render_counter(trace, 0, view, reference,
-                                   vectorized=False)
+            expected = Framebuffer(view.width, view.height)
+            calls = reference.render_counter(trace, 0, view, expected)
             for store in (trace, mapped):
                 fb = Framebuffer(view.width, view.height)
                 assert render_counter(store, 0, view, fb) == calls
-                assert np.array_equal(fb.pixels, reference.pixels)
+                assert np.array_equal(fb.pixels, expected.pixels)
 
 
 class TestEmptyLaneGuards:
@@ -242,9 +240,9 @@ class TestEmptyLaneGuards:
 
     def test_kernels_accept_empty_lane(self):
         timestamps, values = self.empty_timestamps()
-        view = TimelineView(0, 1000, width=50, height=20)
-        for kernel in (_column_extremes, _column_extremes_zoomed):
-            xs, vmins, vmaxs = kernel(timestamps, values, view)
+        for view in (TimelineView(0, 1000, width=50, height=20),
+                     TimelineView(0, 10, width=50, height=20)):
+            xs, vmins, vmaxs = _column_extremes(timestamps, values, view)
             assert len(xs) == len(vmins) == len(vmaxs) == 0
 
     def test_render_empty_core_draws_nothing_both_stores(self, tmp_path):
@@ -256,11 +254,9 @@ class TestEmptyLaneGuards:
         view = TimelineView.fit(trace, width=80, height=30)
         for store in (trace, mapped):
             for core in range(trace.num_cores):
-                for vectorized in (True, False):
+                for render in (render_counter, reference.render_counter):
                     fb = Framebuffer(view.width, view.height)
-                    calls = render_counter(store, absent, view, fb,
-                                           core=core,
-                                           vectorized=vectorized)
+                    calls = render(store, absent, view, fb, core=core)
                     assert calls == 0
                     assert fb.draw_calls == 0
 
@@ -274,12 +270,11 @@ class TestIndexedTimeline:
         views = (base, base.zoom(6),
                  base.zoom(max(trace.duration, 2)))
         for view in views:
-            reference = render_timeline(trace, StateMode(), view,
-                                        indexed=False)
+            expected = render_lane_scan(trace, StateMode(), view)
             for store in (trace, mapped):
                 fb = render_timeline(store, StateMode(), view)
-                assert np.array_equal(fb.pixels, reference.pixels), view
-                assert fb.draw_calls == reference.draw_calls, view
+                assert np.array_equal(fb.pixels, expected.pixels), view
+                assert fb.draw_calls == expected.draw_calls, view
 
     def test_unindexable_lane_falls_back(self):
         """Lanes whose index cannot be built (within-state overlap)
@@ -287,15 +282,16 @@ class TestIndexedTimeline:
         trace = make_random_trace(13, events_per_core=30)
         view = TimelineView.fit(trace, width=64,
                                 height=4 * trace.num_cores)
-        reference = render_timeline(trace, StateMode(), view,
-                                    indexed=False)
+        indexed = render_timeline(trace, StateMode(), view)
+        assert all(trace.state_index(core) is not None
+                   for core in range(trace.num_cores))
         # Poison the memoized indexes the way an unindexable lane
         # would: state_index(core) -> None for every core.
         trace._state_indexes = {core: None
                                 for core in range(trace.num_cores)}
         fb = render_timeline(trace, StateMode(), view)
-        assert np.array_equal(fb.pixels, reference.pixels)
-        assert fb.draw_calls == reference.draw_calls
+        assert np.array_equal(fb.pixels, indexed.pixels)
+        assert fb.draw_calls == indexed.draw_calls
 
     def test_overlapping_lane_build_returns_none(self):
         starts = np.asarray([0, 5], dtype=np.int64)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CounterIndex, TopologyInfo, TraceBuilder
+from repro.core import TopologyInfo, TraceBuilder
 from repro.render import (Framebuffer, TimelineView, histogram_to_text,
                           matrix_to_text, render_counter,
                           render_counter_rate, render_histogram,
@@ -59,17 +59,6 @@ class TestRenderCounter:
         fast_fb = Framebuffer(100, 40)
         fast = render_counter(trace, 0, view, fast_fb)
         assert fast < naive
-
-    def test_tree_index_gives_same_extremes(self):
-        samples = [(t, float((t * 13) % 101)) for t in range(0, 3000, 3)]
-        trace = counter_trace(samples)
-        view = TimelineView(0, 3000, width=64, height=48)
-        plain_fb = Framebuffer(64, 48)
-        render_counter(trace, 0, view, plain_fb)
-        tree_fb = Framebuffer(64, 48)
-        render_counter(trace, 0, view, tree_fb,
-                       counter_index=CounterIndex(trace))
-        assert (plain_fb.pixels == tree_fb.pixels).all()
 
     def test_empty_counter_draws_nothing(self):
         trace = counter_trace([])

@@ -1,6 +1,8 @@
 """Tests for timeline rendering: view model, predominant-pixel logic
 and the five modes (Sections II-B, VI-B)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,20 @@ from hypothesis import given, settings, strategies as st
 from repro.core import TopologyInfo, TraceBuilder, WorkerState
 from repro.render import (HeatmapMode, NumaHeatmapMode, NumaMode, StateMode,
                           TimelineView, TypeMode, render_timeline, state_color)
-from repro.render.timeline import _predominant_keys
+from repro.render.timeline import _mean_values_per_pixel, _predominant_keys
+from repro.trace_format import ingest_trace
+
+
+def assert_grid_matches_pixels(view):
+    """``pixel_grid`` bins reproduce ``pixel_interval`` for every
+    pixel, over strictly increasing integer edges."""
+    edges, pick = view.pixel_grid()
+    assert edges.dtype == np.int64 and pick.dtype == np.int64
+    assert len(pick) == view.width
+    assert (np.diff(edges) > 0).all()
+    for x in range(view.width):
+        bin_interval = (int(edges[pick[x]]), int(edges[pick[x] + 1]))
+        assert bin_interval == view.pixel_interval(x), x
 
 
 class TestTimelineView:
@@ -53,6 +68,24 @@ class TestTimelineView:
         with pytest.raises(ValueError):
             TimelineView(10, 10)
 
+    @pytest.mark.parametrize("start, width, duration", [
+        (0, 1, 1), (-5, 1, 1), (-5, 1, 7),
+        (0, 8, 7), (0, 8, 8), (0, 8, 9),
+        (-1000, 640, 639), (-1000, 640, 640), (-1000, 640, 641),
+        (3, 1000, 1), (-(10 ** 12), 1024, 10 ** 9)])
+    def test_pixel_grid_edge_cases(self, start, width, duration):
+        assert_grid_matches_pixels(
+            TimelineView(start, start + duration, width=width, height=4))
+
+    @given(start=st.integers(-10 ** 9, 10 ** 9),
+           width=st.integers(1, 300), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pixel_grid_matches_pixel_interval(self, start, width, data):
+        near = st.integers(width - 2, width + 2).filter(lambda d: d >= 1)
+        duration = data.draw(st.one_of(near, st.integers(1, 40 * width)))
+        assert_grid_matches_pixels(
+            TimelineView(start, start + duration, width=width, height=4))
+
     def test_lane_geometry(self):
         view = TimelineView(0, 100, width=10, height=64)
         lane, tops = view.lane_geometry(16)
@@ -93,27 +126,73 @@ class TestPredominantKeys:
         keys = np.asarray([1, 2])
         assert _predominant_keys(starts, ends, keys, view)[0] == 1
 
+    def brute_force_mean(self, starts, ends, values, view):
+        result = np.full(view.width, np.nan)
+        for x in range(view.width):
+            t0, t1 = view.pixel_interval(x)
+            weighted = total = 0
+            for index in range(len(starts)):
+                overlap = min(ends[index], t1) - max(starts[index], t0)
+                if overlap > 0:
+                    weighted += values[index] * overlap
+                    total += overlap
+            if total:
+                result[x] = weighted / total
+        return result
+
     @given(seed=st.integers(min_value=0, max_value=1000),
-           width=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force(self, seed, width):
+           width=st.integers(min_value=1, max_value=40),
+           overlapping=st.booleans(), deep=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, seed, width, overlapping, deep):
+        """Sequential lanes and overlapping or nested ones (Chrome
+        ``B``/``E`` spans), in views above and below one cycle per
+        pixel: the kernels equal a per-pixel scan of every event."""
         rng = np.random.default_rng(seed)
-        cursor = 0
-        starts, ends, keys = [], [], []
-        for __ in range(rng.integers(0, 15)):
-            cursor += int(rng.integers(0, 30))
-            duration = int(rng.integers(1, 60))
-            starts.append(cursor)
-            ends.append(cursor + duration)
-            keys.append(int(rng.integers(0, 4)))
-            cursor += duration
-        view = TimelineView(0, max(cursor, 1) + 10, width=width, height=4)
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.int64)
+        starts, ends, keys = random_lane(rng, overlapping)
+        view = random_view(rng, ends, width, deep)
         fast = _predominant_keys(starts, ends, keys, view)
         slow = self.brute_force(starts, ends, keys, view)
         assert (fast == slow).all()
+        values = rng.random(len(starts))
+        means = _mean_values_per_pixel(starts, ends, values, view)
+        expected = self.brute_force_mean(starts, ends, values, view)
+        assert np.array_equal(np.isnan(means), np.isnan(expected))
+        assert np.allclose(means, expected, rtol=1e-12, equal_nan=True)
+
+
+def random_lane(rng, overlapping):
+    """``(starts, ends, keys)`` sorted by start: back-to-back
+    intervals with gaps, or (``overlapping``) freely overlapping and
+    nested ones.  A few keys are -1 (filtered out)."""
+    starts, ends = [], []
+    cursor = 0
+    for __ in range(rng.integers(0, 15)):
+        duration = int(rng.integers(1, 60))
+        if overlapping:
+            start = int(rng.integers(0, 200))
+        else:
+            cursor += int(rng.integers(0, 30))
+            start = cursor
+            cursor += duration
+        starts.append(start)
+        ends.append(start + duration)
+    order = np.argsort(starts, kind="stable")
+    keys = rng.integers(-1, 4, size=len(starts))
+    return (np.asarray(starts, dtype=np.int64)[order],
+            np.asarray(ends, dtype=np.int64)[order],
+            keys.astype(np.int64))
+
+
+def random_view(rng, ends, width, deep):
+    """A view over the whole lane, or (``deep``) a random window of
+    fewer cycles than pixels (as narrow as the width allows)."""
+    last = int(max(ends, default=0))
+    if not deep:
+        return TimelineView(0, max(last, 1) + 10, width=width, height=4)
+    start = int(rng.integers(-5, last + 5))
+    span = int(rng.integers(1, max(width, 2)))
+    return TimelineView(start, start + span, width=width, height=4)
 
 
 def single_core_trace():
@@ -226,3 +305,32 @@ class TestZoomConsistency:
         zoomed = render_timeline(trace, StateMode(), zoom)
         assert zoomed.unique_colors() <= (full.unique_colors()
                                           | {(16, 16, 16), (40, 40, 40)})
+
+
+class TestNestedSpans:
+    """Chrome ``B``/``E`` import nests task spans on one core; the
+    nested child must win its cycles at every zoom."""
+
+    def nested_trace(self, tmp_path):
+        # parent [0, 100) ns and child [10, 20) ns; the child closes
+        # first, so it gets type 0 and the parent type 1.
+        events = [{"ph": "B", "name": "parent", "pid": 0, "tid": 0,
+                   "ts": 0},
+                  {"ph": "B", "name": "child", "pid": 0, "tid": 0,
+                   "ts": 0.010},
+                  {"ph": "E", "pid": 0, "tid": 0, "ts": 0.020},
+                  {"ph": "E", "pid": 0, "tid": 0, "ts": 0.100}]
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        return ingest_trace(str(path))
+
+    def test_same_cycle_same_color_at_both_zooms(self, tmp_path):
+        trace = self.nested_trace(tmp_path)
+        assert list(trace.tasks.columns["type_id"]) == [1, 0]
+        mode = TypeMode()
+        for width in (100, 200, 400):      # 1, 1/2, 1/4 cycle per px
+            view = TimelineView(0, 100, width=width, height=4)
+            fb = render_timeline(trace, mode, view)
+            for time, type_id in ((12, 0), (50, 1)):
+                pixel = fb.pixels[0, view.time_to_pixel(time)]
+                assert tuple(pixel) == mode.color_of(type_id), width

@@ -8,13 +8,16 @@ counter samples, discrete/communication events, memory accesses into
 randomly placed regions, and the full static preamble.  Everything is
 derived from one ``random.Random(seed)``, so a seed pins the trace
 exactly.  :func:`mapped_copy` maps a store back from its ``.ostc``
-sidecar, so tests can run on both production paths.
+sidecar, so tests can run on both production paths, and
+:func:`render_lane_scan` renders a timeline without the state
+pyramid, the reference the pyramid-served frames must match.
 """
 
 import random
 
 from repro.core import (RegionInfo, TaskTypeInfo, TopologyInfo,
                         TraceBuilder)
+from repro.render import render_timeline
 from repro.trace_format import load_cache, write_cache
 
 PAGE = 4096
@@ -103,3 +106,16 @@ def mapped_copy(trace, directory):
     sidecar = str(directory / "mapped_copy.ostc")
     write_cache(trace, sidecar)
     return load_cache(sidecar)
+
+
+def render_lane_scan(trace, mode, view):
+    """``render_timeline`` with every lane sent through the
+    lane-scanning kernel: the memoized state indexes are replaced by
+    ``None`` — what an unindexable lane memoizes — for the frame, and
+    restored afterwards."""
+    saved = trace._state_indexes
+    trace._state_indexes = dict.fromkeys(range(trace.num_cores))
+    try:
+        return render_timeline(trace, mode, view)
+    finally:
+        trace._state_indexes = saved

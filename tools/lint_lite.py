@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Stdlib-only lint: unused imports, unused local names, long lines.
+"""Stdlib-only lint: unused imports, unused local names, long lines,
+and production imports of the executable specification.
 
 A small stand-in for the pyflakes/pycodestyle checks that matter most
 after a deletion: an import nothing uses any more, a local variable
@@ -15,6 +16,10 @@ interpreter.
   ``except E as x``) and neither the function nor a function nested
   in it ever reads it.  Names starting with ``_`` are deliberate
   throwaways and are skipped, as are functions calling ``locals()``.
+* A module of the ``repro`` package (a file under ``src/repro``) may
+  not import :data:`SPEC_MODULES`, absolutely or relatively; only the
+  spec modules themselves may.  Tests and benchmarks compare against
+  them, production never runs them.
 * A line carrying ``# noqa`` (with or without codes) is skipped.
 
 Exit status 0 when clean, 1 with one ``path:line: message`` per
@@ -32,6 +37,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_TARGETS = ("src", "tools", "tests", "examples", "benchmarks")
 MAX_COLUMNS = 79
+SPEC_MODULES = ("repro.core.reference", "repro.render.reference")
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = _FUNCTIONS + (ast.Lambda, ast.ClassDef)
@@ -114,6 +120,50 @@ def _unused_locals(tree):
                     name)
 
 
+def _module_name(path):
+    """Dotted name of a module under a ``src/repro`` tree, else
+    ``None`` (``__init__.py`` names its package)."""
+    parts = path.resolve().with_suffix("").parts
+    for index in range(len(parts) - 2, -1, -1):
+        if parts[index] == "src" and parts[index + 1] == "repro":
+            names = list(parts[index + 1:])
+            if names[-1] == "__init__":
+                names.pop()
+            return ".".join(names)
+    return None
+
+
+def _imported_modules(node, package):
+    """Modules an import statement may load: the module itself, and
+    for ``from m import n`` also ``m.n`` (``n`` may be a submodule).
+    Relative imports resolve against ``package``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    if node.level:
+        parts = package.split(".")
+        anchor = parts[:len(parts) - node.level + 1]
+        base = ".".join(anchor + ([base] if base else []))
+    return [base] + [base + "." + alias.name for alias in node.names]
+
+
+def _spec_imports(tree, path):
+    """Yield ``(lineno, message)`` for production imports of a
+    :data:`SPEC_MODULES` module."""
+    module = _module_name(path)
+    if module is None or module in SPEC_MODULES:
+        return
+    package = module if path.name == "__init__.py" \
+        else module.rpartition(".")[0]
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for name in _imported_modules(node, package):
+            if name in SPEC_MODULES:
+                yield node.lineno, "production imports {}".format(name)
+                break
+
+
 def _long_lines(lines):
     """Yield ``(lineno, message)`` for lines over :data:`MAX_COLUMNS`."""
     for lineno, line in enumerate(lines, 1):
@@ -128,7 +178,8 @@ def lint_file(path):
     lines = source.splitlines()
     tree = ast.parse(source, filename=str(path))
     findings = (list(_unused_imports(tree, path))
-                + list(_unused_locals(tree)) + list(_long_lines(lines)))
+                + list(_unused_locals(tree)) + list(_long_lines(lines))
+                + list(_spec_imports(tree, path)))
     return sorted((lineno, message) for lineno, message in findings
                   if "# noqa" not in lines[lineno - 1])
 
