@@ -31,7 +31,7 @@ from .index import (counter_samples_in_interval, discrete_in_interval,
                     interval_slice, point_slice, states_in_interval,
                     tasks_in_interval)
 from .interval_tree import MinMaxTree, segment_minmax
-from .pyramid import StateIndex, StateTiles, build_state_tiles
+from .pyramid import StateIndex
 from .metrics import (aggregate_counter_series,
                       average_task_duration_series,
                       bytes_between_nodes_series, counter_derivative_series,
@@ -81,8 +81,8 @@ __all__ = [
     "TaskTypeFilter", "filtered_tasks", "counter_samples_in_interval",
     "discrete_in_interval", "interval_slice", "point_slice",
     "states_in_interval", "tasks_in_interval", "MinMaxTree",
-    "segment_minmax", "StateIndex", "StateTiles", "build_state_tiles",
-    "aggregate_counter_series", "average_task_duration_series",
+    "segment_minmax", "StateIndex", "aggregate_counter_series",
+    "average_task_duration_series",
     "bytes_between_nodes_series", "counter_derivative_series",
     "counter_ratio_series",
     "discrete_derivative", "interval_edges", "state_count_series",

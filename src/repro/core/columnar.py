@@ -35,7 +35,7 @@ import numpy as np
 
 from .events import (CommEvent, CounterDescription, DiscreteEvent,
                      MemoryAccess, StateInterval, TaskExecution)
-from .index import interval_slice, point_slice
+from .index import end_reach, interval_slice, point_slice
 
 #: One record per worker-state interval of one core.
 STATE_DTYPE = np.dtype([("state", np.int64), ("start", np.int64),
@@ -257,10 +257,10 @@ class ColumnarTrace:
         self._counter_series = None
         self._task_index = None
         # Lazily built render structures (see minmax_tree, state_index
-        # and state_tiles).
+        # and end_reach).
         self._minmax_trees = {}
         self._state_indexes = {}
-        self._state_tiles = {}
+        self._end_reaches = {}
         # ``time_bounds`` lets a memory-mapped open skip the bounds
         # scan (which would fault in every page of the interval lanes);
         # the cache header stores the bounds instead.
@@ -468,28 +468,28 @@ class ColumnarTrace:
         cache[core] = index
         return index
 
-    def state_tiles(self, core):
-        """One core's dominant-state + event-count tiles, memoized.
+    def end_reach(self, kind, core):
+        """The running maximum of the ``end`` column of one core's
+        ``kind`` (``"states"``/``"tasks"``) lane, memoized; ``None``
+        when the column is sorted (no span nests in an earlier one).
+        Mapped stores read that from the sidecar, so a reopen scans no
+        lane.  See :func:`repro.core.index.end_reach`."""
+        cache = self._end_reaches
+        key = (kind, core)
+        if key not in cache:
+            reach = None
+            if self.pyramids is None or self.pyramids.nested(kind, core):
+                reach = end_reach(getattr(self, kind).lanes[core]["end"])
+            cache[key] = reach
+        return cache[key]
 
-        Served from the sidecar's persisted pyramid on memory-mapped
-        stores, built lazily otherwise; ``None`` when the lane cannot
-        be indexed.  See :class:`repro.core.pyramid.StateTiles`.
-        """
-        from .pyramid import build_state_tiles
-        cache = self._state_tiles
-        if core in cache:
-            return cache[core]
-        tiles = None
-        if self.pyramids is not None:
-            tiles = self.pyramids.state_tiles(core)
-        if tiles is None:
-            index = self.state_index(core)
-            if index is not None:
-                tiles = build_state_tiles(
-                    index, self.states.core_column(core, "start"),
-                    self.begin, self.end)
-        cache[core] = tiles
-        return tiles
+    def interval_rows(self, kind, core, start, end):
+        """Rows of one core's ``kind`` lane overlapping ``[start,
+        end)``: a zero-copy slice, or an index array on a lane with
+        nested spans (:func:`repro.core.index.interval_slice`)."""
+        lane = getattr(self, kind).lanes[core]
+        return interval_slice(lane["start"], lane["end"], start, end,
+                              self.end_reach(kind, core))
 
     # -- per-event dataclass views ------------------------------------
     def task_by_id(self, task_id):
@@ -595,17 +595,15 @@ class ColumnarTrace:
         point kinds keep timestamps in ``[start, end)`` — the exact
         filtering semantics of
         :func:`repro.trace_format.streaming.split_time_window`.  No
-        event data is copied; on a memory-mapped store only the pages
+        event data is copied except on interval lanes with nested spans,
+        which are gathered through an index array
+        (:meth:`interval_rows`); on a memory-mapped store only the pages
         the returned slices touch are ever read, which is what makes
         windowed queries on a cached million-event trace O(window).
         """
-        def interval_lanes(stack):
-            lanes = []
-            for lane in stack.lanes:
-                selection = interval_slice(lane["start"], lane["end"],
-                                           start, end)
-                lanes.append(lane[selection])
-            return lanes
+        def interval_lanes(kind):
+            return [lane[self.interval_rows(kind, core, start, end)]
+                    for core, lane in enumerate(getattr(self, kind).lanes)]
 
         def point_lanes(stack):
             return [lane[point_slice(lane["timestamp"], start, end)]
@@ -616,8 +614,8 @@ class ColumnarTrace:
             for key, lane in self.counter_lanes.items()}
         return ColumnarTrace(
             topology=self.topology,
-            states=interval_lanes(self.states),
-            tasks=interval_lanes(self.tasks),
+            states=interval_lanes("states"),
+            tasks=interval_lanes("tasks"),
             discrete=point_lanes(self.discrete),
             comm=point_lanes(self.comm_lanes),
             accesses=point_lanes(self.access_lanes),

@@ -5,10 +5,10 @@ timestamp, and finds the array slice containing the events of any
 interval with a fast binary search.  These helpers implement the
 interval queries used by every timeline mode and statistics view.
 
-State intervals on one core never overlap, and task executions on one
-core never overlap, so for those both the ``start`` and the ``end``
-columns are sorted — which is what makes the slice computable with two
-binary searches.
+Interval lanes are sorted by ``start``.  Their ``end`` column is sorted
+too unless spans nest on one core (Chrome ``B``/``E`` import); then the
+search runs on the running maximum of ``end`` (:func:`end_reach`) and
+the candidates are filtered, so nested lanes stay exact.
 """
 
 from __future__ import annotations
@@ -16,25 +16,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def grid_edges(begin, end, count):
-    """The ``count + 1`` integer edges that cut ``[begin, end)`` into
-    ``count`` bins: ``begin + (end - begin) * x // count``.  This is
-    the one formula behind both the timeline's pixel grid and the
-    state pyramid's tiles, so a tile level of the view's width lines
-    up with its pixels exactly."""
-    x = np.arange(count + 1, dtype=np.int64)
-    return int(begin) + (int(end) - int(begin)) * x // count
+def end_reach(ends):
+    """Running maximum of a start-sorted lane's ``end`` column, or
+    ``None`` when the column is sorted already.  Nested spans (Chrome
+    ``B``/``E`` import) break the sort: a parent ends after its
+    children.  The running maximum stays sorted, so
+    :func:`interval_slice` can still binary-search it."""
+    reach = np.maximum.accumulate(ends) if len(ends) else ends
+    return None if np.array_equal(reach, ends) else reach
 
 
-def interval_slice(starts, ends, query_start, query_end):
-    """Slice of sorted, non-overlapping intervals overlapping a query.
+def interval_slice(starts, ends, query_start, query_end, reach=None):
+    """Rows of start-sorted intervals overlapping a query.
 
-    ``starts``/``ends`` are the per-core sorted columns; the result
-    selects every interval with ``start < query_end and end > query_start``.
+    Selects every interval with ``start < query_end and end >
+    query_start``.  When ``ends`` is sorted (``reach`` is ``None``) the
+    result is one slice.  Otherwise ``reach`` is :func:`end_reach` of
+    ``ends``: it bounds the candidates, which are then filtered, and
+    the result is an index array in lane order.
     """
-    lo = int(np.searchsorted(ends, query_start, side="right"))
-    hi = int(np.searchsorted(starts, query_end, side="left"))
-    return slice(lo, max(lo, hi))
+    lo = int(np.searchsorted(ends if reach is None else reach,
+                             query_start, side="right"))
+    hi = max(lo, int(np.searchsorted(starts, query_end, side="left")))
+    if reach is None:
+        return slice(lo, hi)
+    return lo + np.flatnonzero(ends[lo:hi] > query_start)
 
 
 def point_slice(timestamps, query_start, query_end):
@@ -46,19 +52,15 @@ def point_slice(timestamps, query_start, query_end):
 
 def states_in_interval(trace, core, query_start, query_end):
     """Column dict of the state intervals of ``core`` overlapping a query."""
-    starts = trace.states.core_column(core, "start")
-    ends = trace.states.core_column(core, "end")
-    selection = interval_slice(starts, ends, query_start, query_end)
-    return {name: trace.states.core_column(core, name)[selection]
+    rows = trace.interval_rows("states", core, query_start, query_end)
+    return {name: trace.states.core_column(core, name)[rows]
             for name in ("state", "start", "end")}
 
 
 def tasks_in_interval(trace, core, query_start, query_end):
     """Column dict of the task executions of ``core`` overlapping a query."""
-    starts = trace.tasks.core_column(core, "start")
-    ends = trace.tasks.core_column(core, "end")
-    selection = interval_slice(starts, ends, query_start, query_end)
-    return {name: trace.tasks.core_column(core, name)[selection]
+    rows = trace.interval_rows("tasks", core, query_start, query_end)
+    return {name: trace.tasks.core_column(core, name)[rows]
             for name in ("task_id", "type_id", "start", "end")}
 
 

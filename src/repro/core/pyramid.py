@@ -2,37 +2,23 @@
 
 The counter side of the paper's scalable-rendering story is the n-ary
 min/max tree (:mod:`repro.core.interval_tree`); this module supplies
-the timeline side: per-core *state pyramids* that answer the two
-questions a frame asks — "which state dominates this pixel's time
-interval?" and "how busy is this tile?" — without scanning the state
-lane.  Both structures are exact (no sampling), so the pyramid-served
-render path stays bit-identical to the lane-scanning kernel, and both
-serialize as flat integer arrays, so the ``.ostc`` sidecar can persist
-them and map them back lazily.  Both bin time with
-:func:`repro.core.index.grid_edges`, the pixel grid's own formula.
+the timeline side: a per-core *state index* that answers the question
+a frame asks — "which state dominates this pixel's time interval?" —
+without scanning the state lane.  :class:`StateIndex` is exact (no
+sampling), so the index-served render path stays bit-identical to the
+lane-scanning kernel, and it serializes as flat integer arrays, so
+the ``.ostc`` sidecar persists it and maps it back lazily.
 
-Two layers:
-
-* :class:`StateIndex` — the pyramid's exact base: per-state sorted
-  interval arrays plus cumulative-duration prefix sums.  The coverage
-  of state ``s`` within ``[t0, t1)`` is ``C_s(t1) - C_s(t0)`` where
-  ``C_s`` is answered by one binary search per state, so a frame costs
-  O(width * states * log n) regardless of lane size or zoom.
-* :class:`StateTiles` — fixed tilings of the trace span (coarse to
-  fine), each tile holding its exactly-dominant state and the number
-  of intervals starting inside it; these serve whole-trace overview
-  strips at O(tiles) and are what the sidecar stores per level.
+It holds per-state sorted interval arrays plus cumulative-duration
+prefix sums.  The coverage of state ``s`` within ``[t0, t1)`` is
+``C_s(t1) - C_s(t0)`` where ``C_s`` is answered by one binary search
+per state, so a frame costs O(width * states * log n) regardless of
+lane size or zoom.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .index import grid_edges
-
-#: Tile counts of the pyramid levels, coarse to fine; levels wider
-#: than the trace span are dropped at build time.
-TILE_LEVEL_COUNTS = (16, 64, 256, 1024)
 
 
 class StateIndex:
@@ -120,7 +106,8 @@ class StateIndex:
 
     def dominant_in_edges(self, edges):
         """Exactly-dominant state of each ``[edges[i], edges[i+1])``
-        tile (-1 for uncovered tiles) — the tile-build kernel."""
+        bin (-1 for uncovered bins) — the kernel behind
+        :meth:`pixel_keys`."""
         edges = np.asarray(edges, dtype=np.int64)
         count = len(edges) - 1
         result = np.full(count, -1, dtype=np.int64)
@@ -133,70 +120,3 @@ class StateIndex:
         result[covered] = self.state_ids[best[covered]]
         return result
 
-
-class StateTiles:
-    """Dominant-state + event-count tile levels over one core's lane.
-
-    ``levels`` is a coarse-to-fine list of ``(dominant, events)`` int64
-    array pairs tiling ``[begin, end)``; tile ``i`` of an ``n``-tile
-    level spans ``[edges[i], edges[i+1])`` with the pixel grid's own
-    edge formula (:func:`~repro.core.index.grid_edges`), so a
-    width-``n`` overview strip reads one persisted level and touches
-    nothing else.
-    """
-
-    def __init__(self, begin, end, levels):
-        self.begin = int(begin)
-        self.end = int(end)
-        self.levels = [(np.asarray(dominant, dtype=np.int64),
-                        np.asarray(events, dtype=np.int64))
-                       for dominant, events in levels]
-
-    def level_counts(self):
-        """Tile count of every level, coarse to fine."""
-        return [len(dominant) for dominant, __ in self.levels]
-
-    def edges(self, level):
-        """Tile edge timestamps of one level (length ``count + 1``)."""
-        return grid_edges(self.begin, self.end,
-                          len(self.levels[level][0]))
-
-    def level_for_width(self, width):
-        """The coarsest level with at least ``width`` tiles (the finest
-        level when none is that fine) — the mip-select rule."""
-        for level, count in enumerate(self.level_counts()):
-            if count >= width:
-                return level
-        return len(self.levels) - 1
-
-    def dominant(self, level):
-        """Dominant-state ids of one level (-1 = uncovered)."""
-        return self.levels[level][0]
-
-    def event_counts(self, level):
-        """Intervals starting inside each tile of one level."""
-        return self.levels[level][1]
-
-
-def tile_level_counts(span):
-    """The tile counts to build for a trace span (coarse to fine):
-    the standard :data:`TILE_LEVEL_COUNTS` clipped so no level is
-    finer than one cycle per tile."""
-    return [count for count in TILE_LEVEL_COUNTS if count <= span]
-
-
-def build_state_tiles(index, lane_starts, begin, end):
-    """Tile one core's lane over ``[begin, end)`` using its
-    :class:`StateIndex` for exact dominant states and the raw lane
-    starts for event counts.  Returns a :class:`StateTiles` (possibly
-    with zero levels for sub-16-cycle traces)."""
-    span = int(end) - int(begin)
-    lane_starts = np.asarray(lane_starts, dtype=np.int64)
-    levels = []
-    for count in tile_level_counts(span):
-        edges = grid_edges(begin, end, count)
-        dominant = index.dominant_in_edges(edges)
-        events = np.diff(np.searchsorted(lane_starts, edges,
-                                         side="left"))
-        levels.append((dominant, events))
-    return StateTiles(begin, end, levels)

@@ -16,36 +16,28 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .events import STATE_NAMES, WorkerState
-from .index import interval_slice
 from .symbols import symbols_from_trace
 
 
 def task_at(trace, core, time):
     """The :class:`TaskExecution` running on ``core`` at ``time``, or
-    ``None`` — the timeline's hit test."""
-    starts = trace.tasks.core_column(core, "start")
-    ends = trace.tasks.core_column(core, "end")
-    selection = interval_slice(starts, ends, time, time + 1)
-    if selection.start >= selection.stop:
+    ``None`` — the timeline's hit test.  Among nested spans the
+    innermost (latest-starting) one is picked."""
+    rows = trace.interval_rows("tasks", core, time, time + 1)
+    task_ids = trace.tasks.core_column(core, "task_id")[rows]
+    if not len(task_ids):
         return None
-    task_id = int(trace.tasks.core_column(core, "task_id")
-                  [selection.start])
-    return trace.task_by_id(task_id)
+    return trace.task_by_id(int(task_ids[-1]))
 
 
 def state_at(trace, core, time):
     """The state interval covering ``time`` on ``core``, or ``None``."""
-    starts = trace.states.core_column(core, "start")
-    ends = trace.states.core_column(core, "end")
-    selection = interval_slice(starts, ends, time, time + 1)
-    if selection.start >= selection.stop:
+    rows = trace.states.lane(core)[
+        trace.interval_rows("states", core, time, time + 1)]
+    if not len(rows):
         return None
-    index = selection.start
-    return {
-        "state": int(trace.states.core_column(core, "state")[index]),
-        "start": int(starts[index]),
-        "end": int(ends[index]),
-    }
+    return {name: int(rows[name][-1])
+            for name in ("state", "start", "end")}
 
 
 @dataclass

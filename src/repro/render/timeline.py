@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core import numa as numa_analysis
-from ..core.index import grid_edges, interval_slice
 from ..core.metrics import overlap_per_bin
 from . import colors as palettes
 from .framebuffer import Framebuffer
@@ -87,7 +86,8 @@ class TimelineView:
         cycle, so the bins are the view's cycles and neighbouring
         pixels may pick the same one.
         """
-        edges = grid_edges(self.start, self.end, self.width)
+        x = np.arange(self.width + 1, dtype=np.int64)
+        edges = int(self.start) + int(self.duration) * x // self.width
         if self.duration >= self.width:
             return edges, np.arange(self.width, dtype=np.int64)
         return (np.arange(self.start, self.end + 1, dtype=np.int64),
@@ -124,6 +124,8 @@ class TimelineMode:
     ``lane_events`` returns ``(starts, ends, keys)`` for one core, keys
     being small integers fed to ``color_of``; continuous modes (the NUMA
     heatmap) instead return float values fed to ``value_color``.
+    ``lanes`` names the interval lanes those events come from
+    (``"states"`` or ``"tasks"``).
     """
 
     continuous = False
@@ -156,6 +158,7 @@ class StateMode(TimelineMode):
     """Default mode: the state of each worker over time (Fig. 2)."""
 
     name = "state"
+    lanes = "states"
 
     def lane_events(self, trace, core):
         """One core's state intervals keyed by state id."""
@@ -180,6 +183,8 @@ class StateMode(TimelineMode):
 
 class _TaskMode(TimelineMode):
     """Common base of the modes that color task executions."""
+
+    lanes = "tasks"
 
     def lane_events(self, trace, core):
         starts = trace.tasks.core_column(core, "start")
@@ -449,7 +454,8 @@ def render_timeline(trace, mode, view=None, framebuffer=None,
                                lane_height)
                 continue
         starts, ends, keys = mode.lane_events(trace, core)
-        visible = interval_slice(starts, ends, view.start, view.end)
+        visible = trace.interval_rows(mode.lanes, core, view.start,
+                                      view.end)
         starts = starts[visible]
         ends = ends[visible]
         keys = keys[visible]

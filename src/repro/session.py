@@ -8,13 +8,11 @@ VI-C, explicitly designed for sharing between colleagues).  An
 history (back/forward, like the GUI's zoom stack), and persists
 everything *except the trace* to a JSON file — matching the paper's
 point that annotations (and by extension the analysis setup) are
-saved independently from the trace file.
-
-:class:`MultiTraceSession` lifts the same interaction onto N traces at
-once: every navigation step is broadcast to all member sessions (so
-the views stay in lockstep on one shared time axis), and the
-comparison verbs of the experiment engine — side-by-side rendering
-and baseline/candidate diff reports — operate on the members.
+saved independently from the trace file.  Traces are compared
+side by side with the experiment engine's
+:func:`~repro.analysis.experiments.diff_traces` and
+:func:`~repro.analysis.experiments.render_timelines_side_by_side`,
+not through a session.
 
 The session object is also the service boundary: the multi-tenant
 server (:mod:`repro.service`) and ``aftermath_cli`` are two clients of
@@ -186,51 +184,6 @@ class AnalysisSession:
             mode = timeline_mode(mode)
         return render_timeline(self.trace, mode, self.view)
 
-    # -- overview -------------------------------------------------------
-    def overview(self, width=256):
-        """A whole-trace dominant-state strip per core from the state
-        pyramid tiles.
-
-        Returns ``(edges, dominant, events)``: tile edge timestamps
-        (length ``tiles + 1``), an ``(num_cores, tiles)`` matrix of
-        dominant state ids (-1 = idle/unindexed) and the matching
-        matrix of event counts (state intervals starting per tile).
-        The tile level is the coarsest with at least ``width`` tiles,
-        so on a memory-mapped trace this reads only the persisted tile
-        blobs — the minimap never scans an event lane.
-        """
-        import numpy as np
-        trace = self.trace
-        rows, counts, level = [], [], None
-        edges = None
-        for core in range(trace.num_cores):
-            tiles = trace.state_tiles(core)
-            if tiles is None or not tiles.levels:
-                rows.append(None)
-                counts.append(None)
-                continue
-            if level is None:
-                level = tiles.level_for_width(width)
-                edges = tiles.edges(level)
-            rows.append(tiles.dominant(level))
-            counts.append(tiles.event_counts(level))
-        if edges is None:
-            # No indexable lane (or a sub-16-cycle trace): one tile
-            # spanning everything, nothing dominant.
-            edges = np.asarray([trace.begin, max(trace.end,
-                                                 trace.begin + 1)],
-                               dtype=np.int64)
-        tiles_per_row = len(edges) - 1
-        dominant = np.full((trace.num_cores, tiles_per_row), -1,
-                           dtype=np.int64)
-        events = np.zeros((trace.num_cores, tiles_per_row),
-                          dtype=np.int64)
-        for core in range(trace.num_cores):
-            if rows[core] is not None and len(rows[core]) == tiles_per_row:
-                dominant[core] = rows[core]
-                events[core] = counts[core]
-        return edges, dominant, events
-
     # -- annotations ----------------------------------------------------
     def annotate(self, text, timestamp=None, core=None, author=""):
         """Drop an annotation at a timestamp (default: view center)."""
@@ -295,125 +248,3 @@ class AnalysisSession:
             payload.get("metrics", {}))
         return session
 
-
-class MultiTraceSession:
-    """N traces under one synchronized interactive session.
-
-    Each trace keeps its own :class:`AnalysisSession` (annotations,
-    metric menus and history stay per trace), but navigation is
-    broadcast: a zoom or scroll moves every member to the same
-    ``[start, end)`` window of one shared time axis — the union of the
-    member traces' time ranges — which is what makes side-by-side
-    comparison panels line up.  The comparison verbs delegate to the
-    experiment engine (:mod:`repro.analysis.experiments`).
-    """
-
-    def __init__(self, traces, names=None, width=1024, height=256):
-        traces = list(traces)
-        if not traces:
-            raise ValueError("need at least one trace")
-        names = (list(names) if names is not None
-                 else ["trace_{}".format(i) for i in range(len(traces))])
-        if len(names) != len(traces):
-            raise ValueError("one name per trace required")
-        self.names = names
-        self.sessions = [AnalysisSession(trace, width=width,
-                                         height=height)
-                         for trace in traces]
-        self.begin = min(int(trace.begin) for trace in traces)
-        self.end = max(int(trace.end) for trace in traces)
-        self.goto(self.begin, self.end)
-        # The shared full-range window is the base state: drop the
-        # per-member fit views the constructor pushed, so back() can
-        # never pop members onto divergent (un-broadcast) views.
-        for session in self.sessions:
-            session._history.clear()
-            session._future.clear()
-
-    @classmethod
-    def open(cls, paths, width=1024, height=256, cache=True):
-        """Start a synchronized session over N trace files, each
-        opened through the memory-mapped columnar cache by default
-        (the :meth:`AnalysisSession.open` fast path, once per file)."""
-        import os
-        from .trace_format import read_trace
-        traces = [read_trace(str(path), cache=bool(cache))
-                  for path in paths]
-        names = [os.path.splitext(os.path.basename(str(path)))[0]
-                 for path in paths]
-        return cls(traces, names=names, width=width, height=height)
-
-    def __len__(self):
-        return len(self.sessions)
-
-    @property
-    def traces(self):
-        """The member traces, in session order."""
-        return [session.trace for session in self.sessions]
-
-    @property
-    def view(self):
-        """The shared view (every member holds an identical window)."""
-        return self.sessions[0].view
-
-    # -- broadcast navigation -----------------------------------------
-    def goto(self, start, end):
-        """Move every member to the ``[start, end)`` window."""
-        for session in self.sessions:
-            session.goto(start, end)
-        return self.view
-
-    def zoom(self, factor, center=None):
-        """Zoom all members around one shared center."""
-        reference = self.sessions[0].view.zoom(factor, center)
-        return self.goto(reference.start, reference.end)
-
-    def scroll(self, fraction):
-        """Scroll all members by the same fraction of the window."""
-        reference = self.sessions[0].view.scroll(fraction)
-        return self.goto(reference.start, reference.end)
-
-    def back(self):
-        """Undo the last broadcast navigation step on every member."""
-        for session in self.sessions:
-            session.back()
-        return self.view
-
-    def reset_view(self):
-        """Return every member to the shared full time range."""
-        return self.goto(self.begin, self.end)
-
-    # -- comparison verbs ---------------------------------------------
-    def compare(self, baseline=0, candidate=1, tolerances=None):
-        """Diff one member against another (indices or names);
-        returns the machine-readable
-        :class:`~repro.analysis.experiments.diff.TraceDiffReport`."""
-        from .analysis.experiments import diff_traces
-        baseline = self._resolve(baseline)
-        candidate = self._resolve(candidate)
-        return diff_traces(self.sessions[baseline].trace,
-                           self.sessions[candidate].trace,
-                           tolerances=tolerances,
-                           baseline_name=self.names[baseline],
-                           candidate_name=self.names[candidate])
-
-    def render_comparison(self, mode=None, width=None, lane_height=4):
-        """Side-by-side strips of every member over the current
-        (shared) view window."""
-        from .analysis.experiments import render_timelines_side_by_side
-        view = self.view
-        return render_timelines_side_by_side(
-            self.traces, mode=mode,
-            width=view.width if width is None else width,
-            lane_height=lane_height, start=view.start, end=view.end)
-
-    def _resolve(self, member):
-        """A member index from an index or a session name."""
-        if isinstance(member, str):
-            return self.names.index(member)
-        member = int(member)
-        if not 0 <= member < len(self.sessions):
-            raise ValueError(
-                "no member {} in a session of {} trace(s)".format(
-                    member, len(self.sessions)))
-        return member

@@ -43,16 +43,19 @@ from ..core.columnar import (ACCESS_DTYPE, COMM_DTYPE, COUNTER_DTYPE,
 from ..core.events import (CounterDescription, RegionInfo, TaskTypeInfo,
                            TopologyInfo)
 from ..core.interval_tree import DEFAULT_ARITY, MinMaxTree
-from ..core.pyramid import (StateIndex, StateTiles, build_state_tiles,
-                            tile_level_counts)
+from ..core.pyramid import StateIndex
 from .format import FormatError
 
 #: Sidecar file magic ("Ostc" = OST columnar) and format version.
 CACHE_MAGIC = b"OSTC"
-#: Version 2 added the persisted render pyramids (counter min/max
-#: levels + per-core state index and tiles); version-1 sidecars raise
-#: :class:`CacheError` and are transparently rebuilt by ``read_trace``.
-CACHE_VERSION = 2
+#: Sidecars of any other version (history in docs/trace-format.md)
+#: raise :class:`CacheError` and are transparently rebuilt by
+#: ``read_trace``.
+CACHE_VERSION = 3
+
+#: Widths of the persisted whole-trace counter pixel columns, coarse
+#: to fine; widths finer than one cycle per column are skipped.
+TILE_LEVEL_COUNTS = (16, 64, 256, 1024)
 
 #: Fixed-size prefix before the JSON header: magic, version, header
 #: length in bytes.
@@ -83,6 +86,13 @@ def default_cache_path(trace_path):
     if trace_path.endswith(".ost"):
         return trace_path + "c"
     return trace_path + ".ostc"
+
+
+def tile_level_counts(span):
+    """The persisted column widths for a trace span: the standard
+    :data:`TILE_LEVEL_COUNTS` clipped so no width is finer than one
+    cycle per column."""
+    return [count for count in TILE_LEVEL_COUNTS if count <= span]
 
 
 def _align(offset):
@@ -152,16 +162,22 @@ def write_cache(trace, cache_path, *, stamp=None):
         [int(key[0]), int(key[1])] + add_blob(trace.counter_lanes[key])
         for key in sorted(trace.counter_lanes)]
 
+    # Interval lanes whose ``end`` column is unsorted (nested spans):
+    # a reopen must not scan every lane to find them.
+    manifest["nested"] = [[kind, core]
+                          for kind in ("states", "tasks")
+                          for core in range(trace.num_cores)
+                          if trace.end_reach(kind, core) is not None]
+
     # Persisted render pyramids (Section VI-B): the internal min/max
-    # tree levels of every counter lane, and the state index + tiles
-    # of every core's state lane — computed once here so reopening
-    # never rebuilds them.  Entry layouts (documented in
+    # tree levels of every counter lane, and the state index of every
+    # core's state lane — computed once here so reopening never
+    # rebuilds them.  Entry layouts (documented in
     # docs/trace-format.md):
     #   counter pyramid: [core, counter_id, [leaves_offset, count],
     #                     [[mins_offset, maxs_offset, count], ...],
     #                     [[vmins_offset, vmaxs_offset, count], ...]]
-    #   state pyramid:   [core, [state_ids, offsets, starts, ends, cum],
-    #                     [[dominant_offset, events_offset, count], ...]]
+    #   state pyramid:   [core, [state_ids, offsets, starts, ends, cum]]
     # The leaf level (the lane's values as one contiguous float64
     # array) is persisted too: leaf-path queries fold over all leaves,
     # and serving them mapped means the first frame after a reopen
@@ -206,19 +222,11 @@ def write_cache(trace, cache_path, *, stamp=None):
                                  lane["state"])
         if index is None:
             continue
-        tiles = build_state_tiles(index, lane["start"],
-                                  trace.begin, trace.end)
-        tile_entries = []
-        for dominant, events in tiles.levels:
-            dom = add_blob(dominant)
-            evs = add_blob(events)
-            tile_entries.append([dom[0], evs[0], dom[1]])
         manifest["state_pyramids"].append(
             [int(core),
              [add_blob(index.state_ids), add_blob(index.offsets),
               add_blob(index.starts), add_blob(index.ends),
-              add_blob(index.cum)],
-             tile_entries])
+              add_blob(index.cum)]])
 
     header = {
         "version": CACHE_VERSION,
@@ -341,13 +349,13 @@ class MappedPyramids:
       itself);
     * :meth:`counter_columns` — the pre-rendered whole-trace pixel
       columns of one (core, counter) at a standard tile width;
-    * :meth:`state_index` / :meth:`state_tiles` — one core's
-      :class:`~repro.core.pyramid.StateIndex` and
-      :class:`~repro.core.pyramid.StateTiles`.
+    * :meth:`state_index` — one core's
+      :class:`~repro.core.pyramid.StateIndex`;
+    * :meth:`nested` — whether an interval lane's ends are unsorted.
 
     Memoization lives on the trace store
     (:meth:`~repro.core.columnar.ColumnarTrace.minmax_tree`,
-    ``state_index``, ``state_tiles``), not here.
+    ``state_index``, ``end_reach``), not here.
     """
 
     def __init__(self, blob_view, header):
@@ -360,8 +368,7 @@ class MappedPyramids:
             for entry in manifest.get("counter_pyramids", ())}
         self._states = {entry[0]: entry
                         for entry in manifest.get("state_pyramids", ())}
-        begin, end = header["time_bounds"]
-        self._begin, self._end = int(begin), int(end)
+        self._nested = {(kind, core) for kind, core in manifest["nested"]}
 
     def counter_tree(self, core, counter_id, values, arity):
         """The persisted min/max tree of one (core, counter), or
@@ -417,16 +424,10 @@ class MappedPyramids:
                           self._view(ends, int_dtype),
                           self._view(cum, int_dtype))
 
-    def state_tiles(self, core):
-        """One core's persisted :class:`StateTiles`, or ``None``."""
-        entry = self._states.get(core)
-        if entry is None:
-            return None
-        int_dtype = np.dtype(np.int64)
-        levels = [(self._view([dominant_offset, count], int_dtype),
-                   self._view([events_offset, count], int_dtype))
-                  for dominant_offset, events_offset, count in entry[2]]
-        return StateTiles(self._begin, self._end, levels)
+    def nested(self, kind, core):
+        """Whether the ``kind`` ("states"/"tasks") lane of ``core``
+        has an unsorted ``end`` column (nested spans)."""
+        return (kind, core) in self._nested
 
 
 def load_cache(cache_path, source_path=None):
@@ -532,13 +533,10 @@ def _validate_pyramids(manifest, data_start, size):
             check(vmins_offset, count)
             check(vmaxs_offset, count)
     for entry in manifest.get("state_pyramids", ()):
-        core, blobs, tile_entries = entry
+        core, blobs = entry
         int(core)
         if len(blobs) != 5:
             raise CacheError("state pyramid manifest entry must "
                              "carry 5 index blobs")
         for blob in blobs:
             check(blob[0], blob[1])
-        for dominant_offset, events_offset, count in tile_entries:
-            check(dominant_offset, count)
-            check(events_offset, count)

@@ -232,36 +232,54 @@ class TestAtomicWrites:
 
 
 class TestVersionBump:
-    def test_version_1_sidecar_is_rejected(self, trace_file):
-        """Pre-pyramid (version 1) sidecars raise CacheError ..."""
+    @staticmethod
+    def stamp_version(sidecar, version):
+        """Rewrite a sidecar's prefix to claim an older version."""
         from repro.trace_format.cache import _PREFIX, CACHE_MAGIC
-        path, trace = trace_file
-        sidecar = default_cache_path(path)
-        read_trace(path, cache=True)
         with open(sidecar, "r+b") as stream:
             prefix = stream.read(_PREFIX.size)
             __, __, header_length = _PREFIX.unpack(prefix)
             stream.seek(0)
-            stream.write(_PREFIX.pack(CACHE_MAGIC, 1, header_length))
+            stream.write(_PREFIX.pack(CACHE_MAGIC, version,
+                                      header_length))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_sidecar_is_rejected(self, trace_file, version):
+        """Pre-pyramid (version 1) and state-tile (version 2) sidecars
+        raise CacheError ..."""
+        path, trace = trace_file
+        sidecar = default_cache_path(path)
+        read_trace(path, cache=True)
+        self.stamp_version(sidecar, version)
         with pytest.raises(CacheError):
             load_cache(sidecar)
 
-    def test_version_1_sidecar_rebuilds_transparently(self, trace_file):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_sidecar_rebuilds_transparently(self, trace_file,
+                                                version):
         """... and read_trace(cache=True) rebuilds them in place."""
-        from repro.trace_format.cache import _PREFIX, CACHE_MAGIC
         path, trace = trace_file
         sidecar = default_cache_path(path)
         read_trace(path, cache=True)
-        with open(sidecar, "r+b") as stream:
-            prefix = stream.read(_PREFIX.size)
-            __, __, header_length = _PREFIX.unpack(prefix)
-            stream.seek(0)
-            stream.write(_PREFIX.pack(CACHE_MAGIC, 1, header_length))
+        self.stamp_version(sidecar, version)
         rebuilt = read_trace(path, cache=True)
         assert traces_equal(rebuilt, trace)
         mapped = read_trace(path, cache=True)
         assert mapped.pyramids is not None
         assert traces_equal(mapped, trace)
+
+    def test_state_pyramid_entries_carry_two_fields(self, trace_file):
+        """A version-3 state pyramid entry is ``[core, index blobs]``:
+        no tile levels."""
+        from repro.trace_format.cache import CACHE_VERSION, _read_header
+        path, __ = trace_file
+        read_trace(path, cache=True)
+        header, __ = _read_header(default_cache_path(path))
+        assert CACHE_VERSION == header["version"] == 3
+        entries = header["manifest"]["state_pyramids"]
+        assert entries
+        assert all(len(entry) == 2 and len(entry[1]) == 5
+                   for entry in entries)
 
 
 class TestPersistedPyramids:
@@ -275,7 +293,6 @@ class TestPersistedPyramids:
         mapped = self.fresh_mapping(path)
         assert mapped.pyramids is not None
         assert mapped.pyramids.state_index(0) is not None
-        assert mapped.pyramids.state_tiles(0) is not None
 
     def test_mapped_counter_tree_matches_in_memory(self, trace_file):
         path, trace = trace_file
@@ -318,22 +335,6 @@ class TestPersistedPyramids:
             assert np.array_equal(served.ends, built.ends)
             assert np.array_equal(served.cum, built.cum)
 
-    def test_mapped_tiles_match_built(self, trace_file):
-        path, trace = trace_file
-        mapped = self.fresh_mapping(path)
-        plain = read_trace(path)
-        for core in range(trace.num_cores):
-            served = mapped.state_tiles(core)
-            built = plain.state_tiles(core)
-            assert served.level_counts() == built.level_counts()
-            for level in range(len(served.levels)):
-                assert np.array_equal(served.dominant(level),
-                                      built.dominant(level))
-                assert np.array_equal(served.event_counts(level),
-                                      built.event_counts(level))
-                assert np.array_equal(served.edges(level),
-                                      built.edges(level))
-
     def test_windowed_subtrace_does_not_inherit_pyramids(self,
                                                          trace_file):
         path, trace = trace_file
@@ -348,7 +349,7 @@ class TestPersistedPyramids:
         """A whole-trace view at a persisted tile width renders
         bit-identically from the mapped columns and from the live
         kernel — the fast path must be invisible in the pixels."""
-        from repro.core.pyramid import tile_level_counts
+        from repro.trace_format.cache import tile_level_counts
         from repro.render import Framebuffer, TimelineView
         from repro.render.counter_overlay import render_counter
         path, trace = trace_file
@@ -415,18 +416,3 @@ class TestPersistedPyramids:
         write_cache(store, sidecar, stamp=source_stamp(path))
         third, __ = cache_module._read_header(sidecar)
         assert third is not first
-
-    def test_session_overview_reads_persisted_tiles(self, trace_file):
-        path, __ = trace_file
-        session = AnalysisSession.open(path)          # writes sidecar
-        session = AnalysisSession.open(path)          # maps it
-        edges, dominant, events = session.overview(width=64)
-        trace = session.trace
-        assert dominant.shape == (trace.num_cores, len(edges) - 1)
-        assert events.shape == dominant.shape
-        assert int(edges[0]) == trace.begin
-        assert int(edges[-1]) == trace.end
-        assert (dominant >= -1).all()
-        for core in range(trace.num_cores):
-            lane = trace.states.lane(core)
-            assert events[core].sum() == len(lane)

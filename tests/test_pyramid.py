@@ -1,12 +1,11 @@
-"""Tests for the persisted render pyramids (state index, tiles and
-mapped min/max levels) and the deep-zoom render kernels they serve."""
+"""Tests for the persisted render pyramids (state index and mapped
+min/max levels) and the deep-zoom render kernels they serve."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MinMaxTree, StateIndex, build_state_tiles
-from repro.core.pyramid import tile_level_counts
+from repro.core import MinMaxTree, StateIndex
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           reference, render_counter, render_timeline)
 from repro.render.counter_overlay import _column_extremes
@@ -97,44 +96,6 @@ class TestStateIndex:
         assert index is not None
         view = TimelineView(0, 100, width=10, height=8)
         assert (index.pixel_keys(view) == -1).all()
-
-
-class TestStateTiles:
-    def test_tiles_match_brute_force(self):
-        trace = make_random_trace(7, events_per_core=40)
-        for core in (0, 1):
-            lane = trace.states.lane(core)
-            tiles = trace.state_tiles(core)
-            assert tiles.level_counts() == \
-                tile_level_counts(trace.end - trace.begin)
-            for level in range(len(tiles.levels)):
-                edges = tiles.edges(level)
-                dominant = tiles.dominant(level)
-                events = tiles.event_counts(level)
-                for i in range(len(dominant)):
-                    t0, t1 = int(edges[i]), int(edges[i + 1])
-                    assert dominant[i] == brute_dominant(
-                        lane["start"], lane["end"], lane["state"],
-                        t0, t1), (level, i)
-                    expected = int(((lane["start"] >= t0)
-                                    & (lane["start"] < t1)).sum())
-                    assert events[i] == expected, (level, i)
-
-    def test_level_for_width_picks_coarsest_sufficient(self):
-        trace = make_random_trace(7, events_per_core=40)
-        tiles = trace.state_tiles(0)
-        counts = tiles.level_counts()
-        assert counts == [16, 64, 256, 1024]
-        assert counts[tiles.level_for_width(10)] == 16
-        assert counts[tiles.level_for_width(16)] == 16
-        assert counts[tiles.level_for_width(17)] == 64
-        assert counts[tiles.level_for_width(5000)] == 1024
-
-    def test_tiny_span_drops_fine_levels(self):
-        empty = np.empty(0, dtype=np.int64)
-        index = StateIndex.build(empty, empty, empty)
-        tiles = build_state_tiles(index, empty, 0, 100)
-        assert tiles.level_counts() == [16, 64]
 
 
 class TestFromLevels:

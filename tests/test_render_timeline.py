@@ -334,3 +334,66 @@ class TestNestedSpans:
             for time, type_id in ((12, 0), (50, 1)):
                 pixel = fb.pixels[0, view.time_to_pixel(time)]
                 assert tuple(pixel) == mode.color_of(type_id), width
+
+    # Viewed over [30, 50), only the parent overlaps: the child ended
+    # at 20, so the lane's ``end`` column [100, 20] is unsorted.
+
+    def test_zoom_inside_parent_after_child_ended(self, tmp_path):
+        trace = self.nested_trace(tmp_path)
+        mode = TypeMode()
+        view = TimelineView(30, 50, width=20, height=4)
+        fb = render_timeline(trace, mode, view)
+        assert all(tuple(pixel) == mode.color_of(1)
+                   for pixel in fb.pixels[0])
+
+    def test_interval_queries_find_the_parent(self, tmp_path):
+        from repro.core import selection, tasks_in_interval
+        trace = self.nested_trace(tmp_path)
+        assert list(tasks_in_interval(trace, 0, 30, 50)["end"]) == [100]
+        assert selection.task_at(trace, 0, 40).end == 100
+        assert selection.task_at(trace, 0, 15).end == 20  # innermost
+        window = trace.slice_time_window(30, 50)
+        assert list(window.tasks.columns["end"]) == [100]
+
+    def test_split_time_window_agrees_with_and_without_sidecar(
+            self, tmp_path):
+        from repro.core import traces_equal
+        from repro.trace_format import (read_trace, split_time_window,
+                                        write_trace)
+        path = str(tmp_path / "nested.ost")
+        write_trace(self.nested_trace(tmp_path), path)
+        scanned = split_time_window(path, 30, 50)
+        assert list(scanned.tasks.columns["end"]) == [100]
+        read_trace(path, cache=True)                # writes the sidecar
+        mapped = split_time_window(path, 30, 50, cache=True)
+        assert traces_equal(mapped, scanned)
+        assert read_trace(path, cache=True).pyramids.nested("tasks", 0)
+
+    def test_random_nested_windows_equal_the_full_scan(self, tmp_path):
+        """Randomly nested spans: the sliced window of the parsed and
+        the mapped store both equal the record-by-record filter."""
+        import random
+        from repro.core import TaskTypeInfo, traces_equal
+        from repro.trace_format import (build_window, read_trace,
+                                        stream_records, write_trace)
+        for seed in range(5):
+            rng = random.Random(seed)
+            builder = TraceBuilder(TopologyInfo(num_nodes=1,
+                                                cores_per_node=2))
+            builder.describe_task_type(TaskTypeInfo(type_id=0, name="t"))
+            for task_id in range(60):
+                start = rng.randrange(1000)
+                builder.task_execution(task_id, 0, rng.randrange(2), start,
+                                       start + rng.choice((1, 20, 600)))
+            path = str(tmp_path / "random_{}.ost".format(seed))
+            write_trace(builder.build(), path)
+            parsed = read_trace(path)
+            read_trace(path, cache=True)
+            mapped = read_trace(path, cache=True)
+            for __ in range(10):
+                start = rng.randrange(1100)
+                end = start + rng.randrange(1, 300)
+                expected = build_window(stream_records(path), start, end)
+                for store in (parsed, mapped):
+                    assert traces_equal(
+                        store.slice_time_window(start, end), expected)

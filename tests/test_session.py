@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Anomaly, WorkersInState, WorkerState
-from repro.session import AnalysisSession, MultiTraceSession
+from repro.session import AnalysisSession
 
 
 @pytest.fixture
@@ -164,90 +164,3 @@ class TestPersistence:
         fb = render_timeline(seidel_trace_small, StateMode(),
                              restored.view)
         assert fb.pixels_drawn > 0
-
-
-class TestMultiTraceSession:
-    @pytest.fixture
-    def multi(self, seidel_trace_small, kmeans_trace_small):
-        return MultiTraceSession([seidel_trace_small,
-                                  kmeans_trace_small],
-                                 names=["seidel", "kmeans"],
-                                 width=256, height=64)
-
-    def test_shared_axis_covers_union(self, multi, seidel_trace_small,
-                                      kmeans_trace_small):
-        assert multi.begin == min(seidel_trace_small.begin,
-                                  kmeans_trace_small.begin)
-        assert multi.end == max(seidel_trace_small.end,
-                                kmeans_trace_small.end)
-        assert multi.view.start == multi.begin
-        assert multi.view.end == multi.end
-
-    def test_back_never_desynchronizes_members(self, multi):
-        """back() past the first navigation keeps every member on the
-        shared window (the constructor's per-member fit views must not
-        be reachable)."""
-        for __ in range(3):
-            multi.back()
-        views = [(session.view.start, session.view.end)
-                 for session in multi.sessions]
-        assert views == [(multi.begin, multi.end)] * len(multi)
-        multi.zoom(2.0)
-        multi.back()
-        multi.back()
-        views = [(session.view.start, session.view.end)
-                 for session in multi.sessions]
-        assert len(set(views)) == 1
-
-    def test_navigation_broadcasts_to_every_member(self, multi):
-        multi.zoom(4.0)
-        views = [session.view for session in multi.sessions]
-        assert all(view.start == views[0].start
-                   and view.end == views[0].end for view in views)
-        multi.scroll(0.25)
-        assert all(session.view == multi.sessions[0].view
-                   for session in multi.sessions)
-        multi.back()
-        multi.reset_view()
-        assert multi.view.start == multi.begin
-
-    def test_compare_members_by_name(self, multi):
-        from repro.analysis.experiments import EXACT
-        report = multi.compare("seidel", "kmeans", tolerances=EXACT)
-        assert not report.is_empty
-        assert report.baseline == "seidel"
-        assert multi.compare("seidel", "seidel",
-                             tolerances=EXACT).is_empty
-
-    def test_render_comparison_covers_all_members(self, multi):
-        multi.zoom(2.0)
-        fb = multi.render_comparison(lane_height=2)
-        lanes = sum(2 * trace.num_cores for trace in multi.traces)
-        assert fb.height == lanes + (len(multi) - 1) * 2
-        assert fb.width == multi.view.width
-
-    def test_open_from_files(self, seidel_trace_small, tmp_path):
-        from repro.trace_format import write_trace
-        paths = []
-        for index in range(2):
-            path = str(tmp_path / "member_{}.ost".format(index))
-            write_trace(seidel_trace_small, path)
-            paths.append(path)
-        multi = MultiTraceSession.open(paths, width=128, height=32)
-        assert multi.names == ["member_0", "member_1"]
-        assert multi.compare(0, 1).is_empty
-
-    def test_rejects_empty_and_mismatched_names(self,
-                                                seidel_trace_small):
-        with pytest.raises(ValueError):
-            MultiTraceSession([])
-        with pytest.raises(ValueError):
-            MultiTraceSession([seidel_trace_small], names=["a", "b"])
-
-    def test_compare_rejects_out_of_range_members(self,
-                                                  seidel_trace_small):
-        single = MultiTraceSession([seidel_trace_small])
-        with pytest.raises(ValueError):
-            single.compare()             # default candidate=1 absent
-        with pytest.raises(ValueError):
-            single.compare(-1, 0)
