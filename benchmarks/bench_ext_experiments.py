@@ -30,11 +30,12 @@ import pytest
 
 from bench_json import record
 from figutils import write_result
+from repro.analysis import parallel_streaming_statistics
 from repro.analysis.experiments import (EXACT, analyze_traces,
-                                        diff_trace_files,
-                                        merged_statistics, run_suite,
+                                        diff_trace_files, run_suite,
                                         sweep_table, synthetic_sweep)
-from repro.trace_format import streaming_statistics
+from repro.trace_format import (StreamingStatistics, fold_records,
+                                stream_records)
 
 _EVENTS = {"small": 6_000, "default": 1_000_000, "paper": 2_000_000}
 SUITE_TRACES = 4
@@ -110,12 +111,13 @@ def test_pooled_sweep_scaling(scale, experiment_suite):
 
 
 def test_aggregation_is_exact(experiment_suite):
-    """The cross-trace merge equals per-file accumulation: merged
+    """The N-file fold equals per-file accumulation: merged
     record/task counts are the sums, and time bounds the envelopes,
-    of the individual streaming passes."""
+    of the individual serial folds."""
     paths, __ = experiment_suite
-    individual = [streaming_statistics(path) for path in paths]
-    merged = merged_statistics(paths)
+    individual = [fold_records(stream_records(path),
+                               StreamingStatistics()) for path in paths]
+    merged = parallel_streaming_statistics(paths, workers=1)
     assert merged.records == sum(stats.records for stats in individual)
     assert merged.total_tasks == sum(stats.total_tasks
                                      for stats in individual)

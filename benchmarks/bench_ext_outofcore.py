@@ -8,8 +8,9 @@ on a multi-million-event synthetic trace:
 
 * window extraction through the chunk index vs. the full-file scan —
   the indexed path must touch a small fraction of the file's bytes;
-* the sharded map-reduce statistics pass vs. the serial streaming
-  pass — identical results, bounded memory, parallel throughput;
+* the sharded map-reduce statistics pass at 2 workers vs. 1 —
+  identical results (both equal to a serial ``fold_records`` over the
+  record stream), bounded memory, parallel throughput;
 * full-trace statistics on the columnar store (vectorized array
   passes) vs. the reference walk over its per-event dataclasses —
   bit-identical results, required to be at least 5x faster.
@@ -24,9 +25,10 @@ import pytest
 from figutils import write_result
 from repro.analysis import parallel_streaming_statistics
 from repro.core import reference, statistics
-from repro.trace_format import (ScanStats, build_window, read_chunk_index,
-                                read_trace, split_time_window,
-                                stream_records, streaming_statistics,
+from repro.trace_format import (ScanStats, StreamingStatistics,
+                                build_window, fold_records,
+                                read_chunk_index, read_trace,
+                                split_time_window, stream_records,
                                 write_synthetic_trace)
 
 _EVENTS = {"small": 100_000, "default": 1_000_000, "paper": 4_000_000}
@@ -37,7 +39,8 @@ def big_trace(scale, tmp_path_factory):
     events = _EVENTS.get(scale, _EVENTS["default"])
     path = tmp_path_factory.mktemp("ooc") / "big.ost"
     records = write_synthetic_trace(str(path), events=events)
-    bounds = streaming_statistics(str(path))
+    bounds = fold_records(stream_records(str(path)),
+                          StreamingStatistics())
     return str(path), records, bounds
 
 
@@ -95,8 +98,9 @@ def test_parallel_statistics(benchmark, big_trace):
 
 def test_serial_statistics_baseline(benchmark, big_trace):
     path, __, bounds = big_trace
-    stats = benchmark.pedantic(streaming_statistics, rounds=3,
-                               iterations=1, args=(path,))
+    stats = benchmark.pedantic(parallel_streaming_statistics, rounds=3,
+                               iterations=1, args=(path,),
+                               kwargs={"workers": 1})
     assert stats == bounds
 
 

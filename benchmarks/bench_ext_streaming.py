@@ -1,8 +1,9 @@
 """Extension — out-of-core trace processing (paper's future work).
 
 The paper's conclusion announces work on "the out-of-core processing of
-large traces".  This bench compares the streaming statistics pass with
-a full in-memory load and validates the time-window extraction path.
+large traces".  This bench compares the out-of-core statistics pass
+(one worker process) with a full in-memory load and validates the
+time-window extraction path.
 
 Mapping: docs/paper-mapping.md.
 """
@@ -10,8 +11,8 @@ Mapping: docs/paper-mapping.md.
 import pytest
 
 from figutils import write_result
-from repro.trace_format import (read_trace, split_time_window,
-                                streaming_statistics, write_trace)
+from repro.analysis import parallel_streaming_statistics
+from repro.trace_format import read_trace, split_time_window, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def trace_file(seidel_opt, tmp_path_factory):
 
 def test_streaming_statistics_pass(benchmark, trace_file):
     trace, path = trace_file
-    stats = benchmark(streaming_statistics, path)
+    stats = benchmark(parallel_streaming_statistics, path, workers=1)
     assert stats.total_tasks == len(trace.tasks)
     from repro.core import state_time_summary
     summary = state_time_summary(trace)

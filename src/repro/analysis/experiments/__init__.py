@@ -21,17 +21,17 @@ Modules:
   trace store (dedup across overlapping sweeps, atomic publication);
 * :mod:`~repro.analysis.experiments.engine` — the crash-resilient
   drive loop tying journal, store and worker processes together;
-* :mod:`~repro.analysis.experiments.aggregate` — exact cross-trace
-  accumulator merges and per-parameter summary tables;
+* :mod:`~repro.analysis.experiments.aggregate` — per-parameter
+  summary tables and speedup curves (whole-file statistics over N
+  traces come from the one out-of-core driver,
+  :func:`repro.analysis.parallel.parallel_map_reduce`);
 * :mod:`~repro.analysis.experiments.diff` — the baseline/candidate
   regression reports (JSON-serializable);
 * :mod:`~repro.analysis.experiments.render` — comparison panels on
   the shared framebuffer.
 """
 
-from .aggregate import (SweepRow, SweepTable, merged_comm_matrix,
-                        merged_statistics, merged_task_histogram,
-                        speedup_curve, sweep_table)
+from .aggregate import SweepRow, SweepTable, speedup_curve, sweep_table
 from .diff import (DiffEntry, DiffTolerances, EXACT, TraceDiffReport,
                    diff_trace_files, diff_traces, distribution_shift)
 from .harness import (KMEANS_SIM_CONFIG, PIPELINE_FRAMES, PRESETS,
@@ -52,8 +52,7 @@ from .suite import (ExperimentSpec, TraceSummary, analyze_traces,
                     scheduler_sweep, summarize_trace, synthetic_sweep)
 
 __all__ = [
-    "SweepRow", "SweepTable", "merged_comm_matrix", "merged_statistics",
-    "merged_task_histogram", "speedup_curve", "sweep_table",
+    "SweepRow", "SweepTable", "speedup_curve", "sweep_table",
     "DiffEntry", "DiffTolerances", "EXACT", "TraceDiffReport",
     "diff_trace_files", "diff_traces", "distribution_shift",
     "KMEANS_SIM_CONFIG", "PIPELINE_FRAMES", "PRESETS", "ScalePreset",

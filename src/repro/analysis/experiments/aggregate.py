@@ -1,19 +1,16 @@
-"""Cross-trace aggregation: merge N traces' statistics into one view.
+"""Cross-trace summary tables: arrange N traces' results by a swept
+parameter.
 
-Two complementary aggregations over a suite of trace files:
-
-* **merged accumulators** — :func:`merged_statistics`,
-  :func:`merged_task_histogram` and :func:`merged_comm_matrix` fold
-  every file through the existing out-of-core accumulators
-  (:class:`~repro.trace_format.streaming.StreamingStatistics`,
-  :class:`~repro.trace_format.streaming.TaskHistogramAccumulator`,
-  :class:`~repro.analysis.parallel.CommMatrixAccumulator`) and reduce
-  the per-trace partials with their exact ``merge``, so the result
-  equals one pass over the concatenation of all files;
-* **summary tables** — :class:`SweepTable` arranges per-trace
-  :class:`~repro.analysis.experiments.suite.TraceSummary` rows by a
-  swept parameter (block size, scheduler, ...), the textual form of
-  the paper's cross-run comparisons (Figs. 12–16).
+:class:`SweepTable` arranges per-trace
+:class:`~repro.analysis.experiments.suite.TraceSummary` rows by a
+swept parameter (block size, scheduler, ...), the textual form of the
+paper's cross-run comparisons (Figs. 12–16); :func:`speedup_curve`
+normalizes their durations to a baseline.  Exact whole-file
+statistics over the union of N trace files come from the out-of-core
+driver: :func:`repro.analysis.parallel.parallel_streaming_statistics`,
+:func:`~repro.analysis.parallel.parallel_task_histogram` and
+:func:`~repro.analysis.parallel.parallel_comm_matrix` each take a
+list of paths.
 """
 
 from __future__ import annotations
@@ -24,58 +21,6 @@ from typing import List
 import numpy as np
 
 from ...core.events import WorkerState
-from ...trace_format.streaming import (StreamingStatistics,
-                                       TaskHistogramAccumulator,
-                                       streaming_statistics)
-
-
-def merged_statistics(paths):
-    """One :class:`StreamingStatistics` over the union of N files.
-
-    Each file is folded into its own accumulator and the partials are
-    merged in order — every aggregate is a sum, min/max or union, so
-    the result is exactly a single pass over all records.
-    """
-    merged = StreamingStatistics()
-    for path in paths:
-        merged.merge(streaming_statistics(str(path)))
-    return merged
-
-
-def merged_task_histogram(paths, bins, value_range):
-    """Task-duration histogram over the union of N files; returns
-    ``(edges, counts)`` with the fixed edges shared by every file.
-    Each file goes through :func:`repro.trace_format.streaming.
-    streaming_task_histogram` — one definition of the binning — and
-    the integer counts add exactly."""
-    from ...trace_format.streaming import streaming_task_histogram
-    merged = TaskHistogramAccumulator(bins, value_range)
-    for path in paths:
-        __, counts = streaming_task_histogram(str(path), bins,
-                                              value_range)
-        merged.counts += counts
-    return merged.edges, merged.counts
-
-
-def merged_comm_matrix(paths):
-    """Summed core-to-core communication-byte matrix over N files.
-
-    Every file must share one topology (the matrices are added
-    entrywise); a core-count mismatch raises ``ValueError``.
-    """
-    from ..parallel import parallel_comm_matrix
-    matrix = None
-    for path in paths:
-        partial = parallel_comm_matrix(str(path), workers=1)
-        if matrix is None:
-            matrix = partial.copy()
-        elif partial.shape != matrix.shape:
-            raise ValueError(
-                "cannot merge comm matrices of different topologies: "
-                "{} vs {}".format(matrix.shape, partial.shape))
-        else:
-            matrix += partial
-    return matrix
 
 
 @dataclass

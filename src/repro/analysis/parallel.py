@@ -1,26 +1,30 @@
-"""Parallel map-reduce over the chunks of an indexed trace file.
+"""Parallel map-reduce over the records of one or N trace files.
 
 The chunk index (``docs/trace-format.md``) makes a trace file
 *shardable*: any subset of chunks can be parsed independently, so a
-summary over the whole file decomposes into
+summary over whole files decomposes into
 
-1. **map** — each worker process opens the file, seeks to its assigned
+1. **map** — each worker process opens a file, seeks to its assigned
    chunks and folds their records into a fresh accumulator;
-2. **reduce** — the driver merges the partial accumulators, in chunk
-   order, into one result that is exactly equal to a serial pass.
+2. **reduce** — the driver merges the partial accumulators, file by
+   file and in chunk order, into one result that is exactly equal to
+   a serial fold over the concatenated record streams.
 
-Any object with ``consume(kind, fields)`` and ``merge(other)`` works as
-an accumulator; :class:`repro.trace_format.streaming.
-StreamingStatistics` is the canonical one, and this module adds
-histogram and communication-matrix accumulators.  Accumulators and
-their factories cross process boundaries, so both must be picklable
-(module-level classes, :func:`functools.partial` of them, …).
+:func:`parallel_map_reduce` is the one driver; the three questions
+asked of trace files — :func:`parallel_streaming_statistics`,
+:func:`parallel_task_histogram` and :func:`parallel_comm_matrix` —
+each take one path or a list of paths.  Any object with
+``consume(kind, fields)`` and ``merge(other)`` works as an
+accumulator; :class:`repro.trace_format.streaming.StreamingStatistics`
+is the canonical one.  Accumulators and their factories cross process
+boundaries, so both must be picklable (module-level classes,
+:func:`functools.partial` of them, …).
 
-Files without an index (compressed, or written before the index
-existed) degrade to a serial full scan — same results, no parallelism.
-The same serial path is used when only one worker is available, and
-when the platform cannot spawn processes at all, so callers never need
-a fallback of their own.
+A file without an index (compressed, or written before the index
+existed) becomes one whole-file job — same results, no parallelism
+within that file.  One worker, or a platform that cannot spawn
+processes at all, runs the same jobs in the calling process, so
+callers never need a fallback of their own.
 """
 
 from __future__ import annotations
@@ -78,15 +82,27 @@ class CommMatrixAccumulator:
         self.events += len(src)
 
     def merge(self, other):
-        """Add another accumulator's matrix and event count."""
+        """Add another accumulator's matrix and event count.  Matrices
+        of different core counts raise ``ValueError`` (numpy would
+        broadcast a 1x1 matrix into every cell)."""
+        if other.matrix.shape != self.matrix.shape:
+            raise ValueError(
+                "cannot merge comm matrices of different topologies: "
+                "{} vs {}".format(self.matrix.shape, other.matrix.shape))
         self.matrix += other.matrix
         self.events += other.events
         return self
 
 
-def _scan_serial(path, factory):
-    """The fallback map-reduce: one accumulator, one full scan."""
-    return fold_records(stream_records(path), factory())
+def _trace_paths(paths):
+    """``paths`` (one path or an iterable of paths) as a list of
+    strings; an empty list is rejected."""
+    if isinstance(paths, (str, os.PathLike)):
+        paths = [paths]
+    paths = [os.fspath(path) for path in paths]
+    if not paths:
+        raise ValueError("no trace files given")
+    return paths
 
 
 def _shard_records(stream, spans):
@@ -96,14 +112,17 @@ def _shard_records(stream, spans):
             yield record
 
 
-def _scan_shard(job):
-    """Worker body: fold one shard of chunks into a fresh accumulator.
+def _scan(job):
+    """Worker body: fold one job's records into a fresh accumulator.
 
-    ``job`` is ``(path, factory, spans)`` with ``spans`` the chunk
-    entries assigned to this worker.  Runs in a separate process, so
-    it re-opens the file itself.
+    ``job`` is ``(path, factory, spans)``: ``spans`` is the shard of
+    chunk entries assigned to this job, or ``None`` for a whole-file
+    scan of an unindexed file.  Runs in a separate process, so it
+    opens the file itself.
     """
     path, factory, spans = job
+    if spans is None:
+        return fold_records(stream_records(path), factory())
     with open(path, "rb") as stream:
         return fold_records(_shard_records(stream, spans), factory())
 
@@ -147,62 +166,85 @@ def pooled_map(function, jobs, workers):
         return pool.map(function, jobs)
 
 
-def parallel_map_reduce(path, factory, workers=None):
-    """Fold every record of ``path`` into an accumulator, in parallel.
+def parallel_map_reduce(paths, factory, workers=None):
+    """Fold every record of one or N trace files into an accumulator.
 
-    ``factory`` builds an empty accumulator (called once in the driver
-    for the static preamble and once per shard in the workers).  The
-    merged result equals a serial ``consume`` pass over the whole file:
-    every record is consumed exactly once, and partials are merged in
-    file order.  Every scan folds its records through
-    :func:`repro.trace_format.streaming.fold_records`.  Returns the
-    final accumulator.
+    ``paths`` is one path or a list of paths.  ``factory`` builds an
+    empty accumulator.  The driver folds each indexed file's static
+    preamble itself, then one :func:`pooled_map` job list covers every
+    file: an indexed file contributes its chunk shards (each chunk
+    CRC-checked when the index carries checksums), an unindexed one a
+    single whole-file scan.  Partials merge file by file, in chunk
+    order within a file, so the result equals
+    :func:`repro.trace_format.streaming.fold_records` over the
+    concatenated record streams.  Returns the final accumulator.
     """
-    index = read_chunk_index(path)
-    if index is None or index.num_chunks == 0:
-        return _scan_serial(path, factory)
-    workers = resolve_workers(workers, index.num_chunks)
-    base = factory()
-    with open(path, "rb") as stream:
-        for kind, fields in iter_preamble_records(stream, index):
-            base.consume(kind, fields)
-    shards = _partition(list(index.entries),
-                        workers * SHARDS_PER_WORKER)
-    jobs = [(path, factory, spans) for spans in shards]
-    for partial in pooled_map(_scan_shard, jobs, workers):
-        base.merge(partial)
-    return base
+    paths = _trace_paths(paths)
+    indexes = [read_chunk_index(path) for path in paths]
+    workers = resolve_workers(workers, sum(
+        1 if index is None else index.num_chunks for index in indexes))
+    bases, jobs = [], []
+    for path, index in zip(paths, indexes):
+        base = factory()
+        if index is None:
+            shards = [None]
+        else:
+            with open(path, "rb") as stream:
+                fold_records(iter_preamble_records(stream, index), base)
+            shards = _partition(list(index.entries),
+                                workers * SHARDS_PER_WORKER)
+        bases.append((base, len(jobs), len(jobs) + len(shards)))
+        jobs.extend((path, factory, spans) for spans in shards)
+    partials = pooled_map(_scan, jobs, workers)
+    total = factory()
+    for base, first, last in bases:
+        total.merge(base)
+        for partial in partials[first:last]:
+            total.merge(partial)
+    return total
 
 
-def parallel_streaming_statistics(path, workers=None):
-    """Sharded :func:`repro.trace_format.streaming.
-    streaming_statistics`: same :class:`StreamingStatistics` result,
-    computed by ``workers`` processes over the chunk index."""
-    return parallel_map_reduce(path, StreamingStatistics,
+def parallel_streaming_statistics(paths, workers=None):
+    """Summary :class:`StreamingStatistics` of one or N trace files,
+    computed by ``workers`` processes."""
+    return parallel_map_reduce(paths, StreamingStatistics,
                                workers=workers)
 
 
-def parallel_task_histogram(path, bins, value_range, workers=None):
-    """Sharded task-duration histogram; returns ``(edges, counts)``
-    identical to :func:`repro.trace_format.streaming.
-    streaming_task_histogram`."""
+def parallel_task_histogram(paths, bins, value_range, workers=None):
+    """Task-duration histogram of one or N trace files with fixed bin
+    edges; returns ``(edges, counts)``.
+
+    ``value_range = (lo, hi)`` must be given up front (one pass cannot
+    know the duration range in advance); durations outside it are
+    clamped into the edge bins.
+    """
     factory = functools.partial(TaskHistogramAccumulator, bins,
                                 value_range)
-    accumulator = parallel_map_reduce(path, factory, workers=workers)
+    accumulator = parallel_map_reduce(paths, factory, workers=workers)
     return accumulator.edges, accumulator.counts
 
 
-def parallel_comm_matrix(path, workers=None):
-    """Sharded core-to-core communication-byte matrix from the file's
-    communication events."""
-    topology = None
+def _num_cores(path):
+    """Core count from the topology record of a trace file."""
     for kind, fields in stream_records(path):
         if kind == "topology":
-            topology = fields
-            break
-    if topology is None:
-        raise ValueError("trace has no topology record")
-    factory = functools.partial(CommMatrixAccumulator,
-                                topology.num_cores)
-    accumulator = parallel_map_reduce(path, factory, workers=workers)
+            return fields.num_cores
+    raise ValueError("trace has no topology record")
+
+
+def parallel_comm_matrix(paths, workers=None):
+    """Core-to-core communication-byte matrix summed over one or N
+    trace files.
+
+    Every file must have the same core count: the matrices add
+    entrywise, and :meth:`CommMatrixAccumulator.merge` raises
+    ``ValueError`` on a mismatch.
+    """
+    paths = _trace_paths(paths)
+    # Merging the files' empty matrices is the core-count check.
+    empty = functools.reduce(CommMatrixAccumulator.merge, [
+        CommMatrixAccumulator(_num_cores(path)) for path in paths])
+    factory = functools.partial(CommMatrixAccumulator, empty.num_cores)
+    accumulator = parallel_map_reduce(paths, factory, workers=workers)
     return accumulator.matrix

@@ -230,15 +230,16 @@ def interval_report_out_of_core(path, start=None, end=None,
     Extracts just the ``[start, end)`` window of the file (seeking via
     the chunk index when present, streaming otherwise) and assembles
     the normal :class:`IntervalReport` from the small in-memory window.
-    Omitted bounds are filled from a constant-memory statistics pass.
+    Omitted bounds are filled from
+    :func:`repro.analysis.parallel.parallel_streaming_statistics`.
     ``columnar`` has no effect: the window is always a
     :class:`~repro.core.columnar.ColumnarTrace`.  It is still accepted
     because existing callers pass it.
     """
-    from ..trace_format.streaming import (split_time_window,
-                                          streaming_statistics)
+    from ..analysis.parallel import parallel_streaming_statistics
+    from ..trace_format.streaming import split_time_window
     if start is None or end is None:
-        bounds = streaming_statistics(path)
+        bounds = parallel_streaming_statistics(path)
         start = bounds.begin if start is None else start
         end = bounds.end if end is None else end
     window = split_time_window(path, start, end)

@@ -21,8 +21,7 @@ from .paraver import export_paraver, import_paraver
 from .reader import read_trace, read_trace_stream
 from .streaming import (StreamingStatistics, TaskHistogramAccumulator,
                         build_window, fold_records, split_time_window,
-                        stream_records, streaming_state_summary,
-                        streaming_statistics, streaming_task_histogram)
+                        stream_records)
 from .synthesize import write_synthetic_trace
 from .writer import (DEFAULT_CHUNK_RECORDS, IndexedTraceWriter,
                      TraceWriter, write_trace)
@@ -43,7 +42,6 @@ __all__ = ["CacheError", "MappedPyramids", "StaleCacheError",
            "read_trace", "read_trace_stream",
            "StreamingStatistics", "TaskHistogramAccumulator",
            "build_window", "fold_records", "split_time_window",
-           "stream_records", "streaming_state_summary",
-           "streaming_statistics", "streaming_task_histogram",
+           "stream_records",
            "write_synthetic_trace", "DEFAULT_CHUNK_RECORDS",
            "IndexedTraceWriter", "TraceWriter", "write_trace"]

@@ -8,13 +8,16 @@ materializing the in-memory
 :class:`~repro.core.columnar.ColumnarTrace`:
 
 * :func:`stream_records` — iterate (record_kind, fields) pairs;
-* :class:`StreamingStatistics` — one-pass per-state times, task
-  counts/durations per type, counter extremes and time bounds; partial
-  accumulators over disjoint record sets combine with :meth:`merge`,
-  which is what the map-reduce layer in
-  :mod:`repro.analysis.parallel` shards across worker processes;
-* :func:`streaming_state_summary` / :func:`streaming_task_histogram` —
-  the common statistics views computed out-of-core;
+* :func:`fold_records` — fold such a stream into an accumulator, in
+  per-kind column batches;
+* :class:`StreamingStatistics` / :class:`TaskHistogramAccumulator` —
+  one-pass per-state times, task counts/durations per type, counter
+  extremes and time bounds, and a fixed-edge task-duration
+  histogram; partial accumulators over disjoint record sets combine
+  with ``merge``.  The one driver that folds whole trace files into
+  them is :func:`repro.analysis.parallel.parallel_map_reduce`, which
+  shards indexed files across worker processes and checks every
+  chunk's CRC;
 * :func:`split_time_window` — extract a time window of a huge trace
   into a small in-memory store for interactive analysis.
   When the file carries a seekable chunk index (see
@@ -45,7 +48,9 @@ def stream_records(path):
     / ``"task_type"`` / ``"region"`` for static records, whose
     ``fields`` are the corresponding dataclasses.  Memory use is
     constant regardless of the trace size.  A chunk-index footer, if
-    present, is skipped transparently.
+    present, is skipped transparently, and chunk CRCs are not checked:
+    whole-file summaries go through
+    :func:`repro.analysis.parallel.parallel_map_reduce`, which does.
     """
     with open_trace_file(path, "rb") as raw:
         stream = _Stream(raw)
@@ -279,29 +284,13 @@ class StreamingStatistics:
         return "\n".join(lines)
 
 
-def streaming_statistics(path):
-    """One out-of-core pass: summary statistics of a trace file.
-
-    For the sharded multi-process equivalent see
-    :func:`repro.analysis.parallel.parallel_streaming_statistics`.
-    """
-    return fold_records(stream_records(path), StreamingStatistics())
-
-
-def streaming_state_summary(path):
-    """Out-of-core per-state cycle totals (the whole-trace analogue of
-    :func:`repro.core.statistics.state_time_summary`)."""
-    return streaming_statistics(path).state_cycles
-
-
 class TaskHistogramAccumulator:
     """Mergeable task-duration histogram with fixed bin edges.
 
-    The single definition of the out-of-core binning: the serial
-    :func:`streaming_task_histogram` folds records into one instance,
-    and the sharded pass in :mod:`repro.analysis.parallel` merges one
-    instance per shard — so the two paths cannot drift apart.
-    Durations outside ``value_range`` are clamped into the edge bins.
+    The single definition of the out-of-core binning, folded per shard
+    and merged by :func:`repro.analysis.parallel.
+    parallel_task_histogram`.  Durations outside ``value_range`` are
+    clamped into the edge bins.
     """
 
     #: Only task executions are worth buffering for the batch path.
@@ -342,18 +331,6 @@ class TaskHistogramAccumulator:
         """Add another histogram's counts (same edges assumed)."""
         self.counts += other.counts
         return self
-
-
-def streaming_task_histogram(path, bins, value_range):
-    """Out-of-core task-duration histogram with fixed bin edges.
-
-    ``value_range = (lo, hi)`` must be given up front (a streaming pass
-    cannot know the duration range in advance); durations outside it
-    are clamped into the edge bins.  Returns ``(edges, counts)``.
-    """
-    accumulator = fold_records(stream_records(path),
-                               TaskHistogramAccumulator(bins, value_range))
-    return accumulator.edges, accumulator.counts
 
 
 def split_time_window(path, start, end, *, stats=None, cache=None):

@@ -7,25 +7,38 @@ extraction on a million-event trace, and bit-identical parallel
 map-reduce results.
 """
 
+import itertools
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro.analysis import (TaskHistogramAccumulator, parallel_comm_matrix,
-                            parallel_map_reduce, parallel_streaming_statistics,
+from repro.analysis import (CommMatrixAccumulator, TaskHistogramAccumulator,
+                            parallel_comm_matrix, parallel_map_reduce,
+                            parallel_streaming_statistics,
                             parallel_task_histogram)
 from repro.core import (interval_report, interval_report_out_of_core,
                         state_time_summary_out_of_core, traces_equal)
-from repro.trace_format import (IndexedTraceWriter, ScanStats,
-                                StreamingStatistics, build_window,
+from repro.trace_format import (CorruptChunkError, IndexedTraceWriter,
+                                ScanStats, StreamingStatistics,
+                                build_window, fold_records,
                                 read_chunk_index, read_trace,
                                 split_time_window, stream_records,
-                                streaming_state_summary,
-                                streaming_statistics,
-                                streaming_task_histogram,
                                 write_synthetic_trace, write_trace)
 from repro.trace_format import format as fmt
+
+
+def serial_fold(paths, accumulator):
+    """The serial reference: one fold over the files' record streams,
+    independent of the sharding driver."""
+    records = itertools.chain.from_iterable(
+        stream_records(str(path)) for path in paths)
+    return fold_records(records, accumulator)
+
+
+def serial_statistics(*paths):
+    return serial_fold(paths, StreamingStatistics())
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +219,7 @@ class TestLargeTraceBytes:
 
     def test_window_reads_strictly_fewer_bytes(self, synthetic_large):
         file_size = os.path.getsize(synthetic_large)
-        bounds = streaming_statistics(synthetic_large)
+        bounds = serial_statistics(synthetic_large)
         start = bounds.begin + (bounds.end - bounds.begin) // 2
         end = start + (bounds.end - bounds.begin) // 100
         stats = ScanStats()
@@ -222,7 +235,7 @@ class TestLargeTraceBytes:
         assert traces_equal(window, scan)
 
     def test_large_parallel_matches_serial(self, synthetic_large):
-        serial = streaming_statistics(synthetic_large)
+        serial = serial_statistics(synthetic_large)
         parallel = parallel_streaming_statistics(synthetic_large,
                                                  workers=2)
         assert parallel == serial
@@ -230,7 +243,7 @@ class TestLargeTraceBytes:
 
 class TestParallelMapReduce:
     def test_statistics_bit_identical(self, synthetic_medium):
-        serial = streaming_statistics(synthetic_medium)
+        serial = serial_statistics(synthetic_medium)
         parallel = parallel_streaming_statistics(synthetic_medium,
                                                  workers=2)
         # Dataclass equality compares every accumulator field.
@@ -239,7 +252,7 @@ class TestParallelMapReduce:
         assert parallel.counter_extremes == serial.counter_extremes
 
     def test_single_worker_in_process(self, synthetic_medium):
-        serial = streaming_statistics(synthetic_medium)
+        serial = serial_statistics(synthetic_medium)
         assert parallel_streaming_statistics(synthetic_medium,
                                              workers=1) == serial
 
@@ -247,7 +260,7 @@ class TestParallelMapReduce:
                                             tmp_path):
         path = tmp_path / "seidel.ost.gz"
         write_trace(seidel_trace_small, str(path))
-        serial = streaming_statistics(str(path))
+        serial = serial_statistics(str(path))
         assert parallel_streaming_statistics(str(path),
                                              workers=2) == serial
 
@@ -255,10 +268,10 @@ class TestParallelMapReduce:
         value_range = (0, 25_000)
         edges, counts = parallel_task_histogram(synthetic_medium, 16,
                                                 value_range, workers=2)
-        expected_edges, expected = streaming_task_histogram(
-            synthetic_medium, 16, value_range)
-        assert (edges == expected_edges).all()
-        assert (counts == expected).all()
+        expected = fold_records(stream_records(synthetic_medium),
+                                TaskHistogramAccumulator(16, value_range))
+        assert (edges == expected.edges).all()
+        assert (counts == expected.counts).all()
         assert counts.sum() > 0
 
     def test_comm_matrix_identical_to_direct_scan(self,
@@ -280,6 +293,20 @@ class TestParallelMapReduce:
             synthetic_medium,
             lambda: StreamingStatistics(), workers=1)
         assert acc.total_tasks > 0
+
+    def test_comm_matrix_merge_rejects_shape_mismatch(self):
+        """A 1x1 matrix must not broadcast into every cell of a 4x4."""
+        wide, narrow = CommMatrixAccumulator(4), CommMatrixAccumulator(1)
+        narrow.matrix[0, 0] = 7
+        with pytest.raises(ValueError, match="different topologies"):
+            wide.merge(narrow)
+        with pytest.raises(ValueError, match="different topologies"):
+            narrow.merge(wide)
+        assert wide.matrix.sum() == 0
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="no trace files"):
+            parallel_streaming_statistics([])
 
     def test_accumulator_validation(self):
         with pytest.raises(ValueError):
@@ -313,7 +340,7 @@ class TestCoreWiring:
     def test_streaming_state_summary(self, indexed_seidel,
                                      seidel_trace_small):
         from repro.core import state_time_summary
-        assert streaming_state_summary(indexed_seidel) \
+        assert serial_statistics(indexed_seidel).state_cycles \
             == state_time_summary(seidel_trace_small)
 
     def test_interval_report_out_of_core(self, seidel_trace_small,
@@ -351,3 +378,100 @@ class TestFormatEdges:
         path = tmp_path / "tiny.ost"
         path.write_bytes(b"AFTM")
         assert read_chunk_index(str(path)) is None
+
+
+@pytest.fixture(scope="module")
+def damaged_pair(tmp_path_factory):
+    """A clean CRC-indexed 20k-event trace and a copy with one byte
+    flipped inside one chunk."""
+    directory = tmp_path_factory.mktemp("damaged")
+    clean = str(directory / "clean.ost")
+    write_synthetic_trace(clean, events=20_000)
+    index = read_chunk_index(clean)
+    assert index.crc_checked and index.num_chunks > 2
+    entry = index.entries[1]
+    data = bytearray(open(clean, "rb").read())
+    data[entry.offset + entry.length // 2] ^= 0xFF
+    damaged = directory / "damaged.ost"
+    damaged.write_bytes(bytes(data))
+    return clean, str(damaged)
+
+
+class TestCorruptChunk:
+    """Every whole-file pass checks chunk CRCs: a flipped byte raises
+    instead of skewing a sum."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_statistics_raise(self, damaged_pair, workers):
+        __, damaged = damaged_pair
+        with pytest.raises(CorruptChunkError):
+            parallel_streaming_statistics(damaged, workers=workers)
+
+    def test_histogram_and_comm_matrix_raise(self, damaged_pair):
+        __, damaged = damaged_pair
+        with pytest.raises(CorruptChunkError):
+            parallel_task_histogram(damaged, 8, (0, 1000), workers=1)
+        with pytest.raises(CorruptChunkError):
+            parallel_comm_matrix(damaged, workers=1)
+
+    def test_interval_report_without_bounds_raises(self, damaged_pair):
+        __, damaged = damaged_pair
+        with pytest.raises(CorruptChunkError):
+            interval_report_out_of_core(damaged)
+
+    def test_two_file_fold_raises(self, damaged_pair):
+        clean, damaged = damaged_pair
+        with pytest.raises(CorruptChunkError):
+            parallel_streaming_statistics([clean, damaged], workers=1)
+
+
+@pytest.fixture(scope="module")
+def mixed_pair(tmp_path_factory):
+    """One indexed ``.ost`` and one unindexed ``.ost.gz`` trace with the
+    same 16-core topology but different events."""
+    directory = tmp_path_factory.mktemp("mixed")
+    indexed = directory / "indexed.ost"
+    compressed = directory / "compressed.ost.gz"
+    write_synthetic_trace(str(indexed), events=6_000, seed=1,
+                          chunk_records=500)
+    write_synthetic_trace(str(compressed), events=4_000, seed=2)
+    assert read_chunk_index(str(indexed)).num_chunks > 4
+    assert read_chunk_index(str(compressed)) is None
+    return indexed, compressed
+
+
+class TestManyFiles:
+    """One fold over an indexed and an unindexed file equals the serial
+    fold over both record streams, for every accumulator."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_statistics(self, mixed_pair, workers):
+        folded = parallel_streaming_statistics(list(mixed_pair),
+                                               workers=workers)
+        assert folded == serial_statistics(*mixed_pair)
+        assert folded.records == sum(
+            serial_statistics(path).records for path in mixed_pair)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_histogram(self, mixed_pair, workers):
+        edges, counts = parallel_task_histogram(
+            list(mixed_pair), 12, (0, 20_000), workers=workers)
+        expected = serial_fold(mixed_pair,
+                               TaskHistogramAccumulator(12, (0, 20_000)))
+        assert np.array_equal(edges, expected.edges)
+        assert np.array_equal(counts, expected.counts)
+        assert counts.sum() > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_comm_matrix(self, mixed_pair, workers):
+        matrix = parallel_comm_matrix(list(mixed_pair), workers=workers)
+        expected = serial_fold(mixed_pair, CommMatrixAccumulator(16))
+        assert np.array_equal(matrix, expected.matrix)
+        assert matrix.sum() > 0
+
+    def test_one_path_equals_a_list_of_one(self, mixed_pair):
+        indexed, __ = mixed_pair
+        assert isinstance(indexed, pathlib.Path)
+        assert (parallel_streaming_statistics(indexed, workers=1)
+                == parallel_streaming_statistics([str(indexed)],
+                                                 workers=1))

@@ -35,9 +35,7 @@ from repro.render import (Framebuffer, StateMode, TimelineView,
 from repro.render import reference as render_reference
 from repro.trace_format import (StreamingStatistics,
                                 TaskHistogramAccumulator, fold_records,
-                                stream_records, streaming,
-                                streaming_statistics,
-                                streaming_task_histogram, write_trace)
+                                stream_records, streaming, write_trace)
 from trace_gen import make_random_trace, mapped_copy, render_lane_scan
 
 SEEDS = (1, 2, 3)
@@ -311,16 +309,18 @@ class TestBatchAccumulatorParity:
 
     def test_streaming_statistics(self, traces):
         for path, __ in traces:
-            assert (streaming_statistics(path)
+            assert (fold_records(stream_records(path),
+                                 StreamingStatistics())
                     == _per_record(path, StreamingStatistics()))
 
     def test_streaming_task_histogram(self, traces):
         for path, __ in traces:
-            edges, counts = streaming_task_histogram(path, 16, (0, 500))
+            batched = fold_records(stream_records(path),
+                                   TaskHistogramAccumulator(16, (0, 500)))
             expected = _per_record(path,
                                    TaskHistogramAccumulator(16, (0, 500)))
-            assert np.array_equal(edges, expected.edges)
-            assert np.array_equal(counts, expected.counts)
+            assert np.array_equal(batched.edges, expected.edges)
+            assert np.array_equal(batched.counts, expected.counts)
 
     def test_parallel_entry_points(self, traces):
         for path, num_cores in traces:

@@ -391,6 +391,42 @@ class TestEngineDrain:
         assert report.counts["done"] == total
         assert all(verify_trace(path).ok for path in report.paths)
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                        reason="needs SIGKILL")
+    def test_kill_between_publish_and_complete_resumes_as_store_hit(
+            self, tmp_path):
+        """A SIGKILL after a job's artifact is published but before the
+        journal marks it done: the resume serves that job from the
+        store, so it counts as a store hit, not a simulation."""
+        directory = str(tmp_path / "suite")
+        total = 4
+        child = (
+            "import os, signal, sys\n"
+            "from repro.analysis.experiments import run_suite, "
+            "synthetic_sweep\n"
+            "from repro.analysis.experiments.store import TraceStore\n"
+            "publish = TraceStore.publish\n"
+            "published = []\n"
+            "def publish_then_die(self, key, source):\n"
+            "    publish(self, key, source)\n"
+            "    published.append(key)\n"
+            "    if len(published) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "TraceStore.publish = publish_then_die\n"
+            "run_suite(synthetic_sweep({}, events=500), sys.argv[1], "
+            "workers=1)\n".format(total))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", child, directory],
+                              env=env, timeout=120)
+        assert done.returncode == -signal.SIGKILL
+        report = resume_suite(directory, workers=1)
+        assert report.done_before == 1
+        assert report.store_hits == 1
+        assert report.simulated == total - report.done_before - 1
+        assert report.resimulated == 0
+        assert report.counts["done"] == total
+        assert all(verify_trace(path).ok for path in report.paths)
+
 
 class TestVerifyAndSalvage:
     def _trace_path(self, tmp_path, chunk_records=2):

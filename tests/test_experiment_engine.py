@@ -15,22 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import (TaskHistogramAccumulator, parallel_comm_matrix,
+                            parallel_streaming_statistics,
+                            parallel_task_histogram)
 from repro.analysis.experiments import (DiffTolerances, EXACT,
                                         ExperimentSpec, analyze_traces,
                                         block_size_sweep, diff_traces,
                                         diff_trace_files,
                                         distribution_shift,
-                                        merged_comm_matrix,
-                                        merged_statistics,
-                                        merged_task_histogram,
                                         render_matrices_side_by_side,
                                         render_state_overlay,
                                         render_timelines_side_by_side,
                                         run_suite, scheduler_sweep,
                                         speedup_curve, summarize_trace,
                                         sweep_table, synthetic_sweep)
-from repro.trace_format import (read_trace, streaming_statistics,
-                                streaming_task_histogram)
+from repro.trace_format import (StreamingStatistics, fold_records,
+                                read_trace, stream_records)
 from trace_gen import make_random_trace, mapped_copy
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -127,8 +127,10 @@ class TestSuiteRunner:
 class TestAggregation:
     def test_merged_statistics_equal_sum_of_parts(self, suite):
         __, paths = suite
-        individual = [streaming_statistics(path) for path in paths]
-        merged = merged_statistics(paths)
+        individual = [fold_records(stream_records(path),
+                                   StreamingStatistics())
+                      for path in paths]
+        merged = parallel_streaming_statistics(paths, workers=2)
         assert merged.records == sum(stats.records
                                      for stats in individual)
         assert merged.total_tasks == sum(stats.total_tasks
@@ -143,15 +145,17 @@ class TestAggregation:
     def test_merged_histogram_counts_sum(self, suite):
         __, paths = suite
         value_range = (0, 30_000)
-        __, merged_counts = merged_task_histogram(paths, 8, value_range)
-        individual = [streaming_task_histogram(path, 8, value_range)[1]
+        __, merged_counts = parallel_task_histogram(paths, 8, value_range,
+                                                    workers=2)
+        individual = [fold_records(stream_records(path),
+                                   TaskHistogramAccumulator(
+                                       8, value_range)).counts
                       for path in paths]
         assert np.array_equal(merged_counts, np.sum(individual, axis=0))
 
     def test_merged_comm_matrix_adds_entrywise(self, suite):
-        from repro.analysis import parallel_comm_matrix
         __, paths = suite
-        merged = merged_comm_matrix(paths)
+        merged = parallel_comm_matrix(paths, workers=2)
         individual = [parallel_comm_matrix(path, workers=1)
                       for path in paths]
         assert np.array_equal(merged, np.sum(individual, axis=0))
@@ -163,8 +167,8 @@ class TestAggregation:
         other = str(tmp_path / "narrow.ost")
         write_synthetic_trace(other, events=500, nodes=2,
                               cores_per_node=2)
-        with pytest.raises(ValueError):
-            merged_comm_matrix([paths[0], other])
+        with pytest.raises(ValueError, match="different topologies"):
+            parallel_comm_matrix([paths[0], other])
 
     def test_sweep_table_rows_and_best(self, suite):
         specs, paths = suite

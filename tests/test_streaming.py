@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.analysis import (parallel_streaming_statistics,
+                            parallel_task_histogram)
 from repro.core import state_time_summary, task_duration_histogram
 from repro.trace_format import (split_time_window, stream_records,
-                                streaming_statistics,
-                                streaming_task_histogram, write_trace)
+                                write_trace)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ class TestStreamRecords:
 class TestStreamingStatistics:
     def test_matches_in_memory_summary(self, seidel_trace_small,
                                        trace_file):
-        stats = streaming_statistics(trace_file)
+        stats = parallel_streaming_statistics(trace_file)
         summary = state_time_summary(seidel_trace_small)
         for state, cycles in summary.items():
             assert stats.state_cycles[state] == cycles
@@ -50,7 +51,7 @@ class TestStreamingStatistics:
 
     def test_per_type_means(self, seidel_trace_small, trace_file):
         from repro.core import TaskTypeFilter, task_duration_stats
-        stats = streaming_statistics(trace_file)
+        stats = parallel_streaming_statistics(trace_file)
         init_id = next(info.type_id
                        for info in seidel_trace_small.task_types
                        if info.name == "seidel_init")
@@ -59,7 +60,7 @@ class TestStreamingStatistics:
         assert stats.mean_duration(init_id) == pytest.approx(expected)
 
     def test_describe(self, trace_file):
-        text = streaming_statistics(trace_file).describe()
+        text = parallel_streaming_statistics(trace_file).describe()
         assert "seidel_block" in text
 
 
@@ -69,8 +70,8 @@ class TestStreamingHistogram:
         columns = seidel_trace_small.tasks.columns
         durations = columns["end"] - columns["start"]
         value_range = (0, int(durations.max()) + 1)
-        edges, counts = streaming_task_histogram(trace_file, 10,
-                                                 value_range)
+        edges, counts = parallel_task_histogram(trace_file, 10,
+                                                value_range)
         expected_edges, fractions = task_duration_histogram(
             seidel_trace_small, bins=10, value_range=value_range)
         assert edges == pytest.approx(expected_edges)
@@ -79,9 +80,9 @@ class TestStreamingHistogram:
 
     def test_invalid_range_rejected(self, trace_file):
         with pytest.raises(ValueError):
-            streaming_task_histogram(trace_file, 10, (100, 100))
+            parallel_task_histogram(trace_file, 10, (100, 100))
         with pytest.raises(ValueError):
-            streaming_task_histogram(trace_file, 0, (0, 100))
+            parallel_task_histogram(trace_file, 0, (0, 100))
 
 
 class TestSplitTimeWindow:

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Machine-readable perf trajectory: merge benchmark timings into one
-JSON history file at the repository root.
+JSON history file.
 
 The per-figure benchmarks write human-readable series to
 ``benchmarks/results/``; this helper adds the machine-readable side —
 a single ``BENCH_HISTORY.json`` with one section per PR generation
 (``pr4``, ``pr5``, ...), each keyed by benchmark name with one flat
 payload of timings/speedups per entry.  Benchmarks call :func:`record`
-(the benchmarks ``conftest.py`` puts ``tools/`` on ``sys.path``); CI
-uploads the file as a workflow artifact and ``tools/perf_gate.py``
-fails the build when a tracked metric drops below its floor.
+(the benchmarks ``conftest.py`` puts ``tools/`` on ``sys.path``), which
+writes the git-ignored ``benchmarks/results/BENCH_HISTORY.json``, so a
+bench run never dirties the tracked tree.  CI uploads that file as a
+workflow artifact and ``tools/perf_gate.py`` fails the build when a
+tracked metric drops below its floor.  The ``BENCH_HISTORY.json``
+committed at the repository root is the gate's baseline.
 
 Concurrent writers are safe: the merge happens under an exclusive
 ``flock`` on a sidecar lock file, and the current contents are
@@ -34,7 +37,7 @@ except ImportError:                       # non-POSIX: degrade politely
     fcntl = None
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_PATH = ROOT / "BENCH_HISTORY.json"
+DEFAULT_PATH = ROOT / "benchmarks" / "results" / "BENCH_HISTORY.json"
 
 #: The default section new benchmarks record into.
 CURRENT_SECTION = "pr5"
@@ -106,6 +109,7 @@ def record(name, payload, section=CURRENT_SECTION, path=None):
     modules cannot clobber each other.  Returns the path written.
     """
     path = DEFAULT_PATH if path is None else pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with _locked(path):
         entries = _load(path)
         entries.setdefault(str(section), {})[str(name)] = payload

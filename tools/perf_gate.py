@@ -4,7 +4,8 @@
 ``BENCH_HISTORY.json`` (see ``tools/bench_json.py``) carries the
 machine-readable perf trajectory, one section per PR generation.  This
 tool turns it from a passive artifact into an enforced floor: every
-tracked metric in a freshly produced history must
+tracked metric in a freshly produced history (by default the one the
+benchmarks write, ``benchmarks/results/BENCH_HISTORY.json``) must
 
 1. hold its **asserted bound** — at or above the floor for
    higher-is-better metrics, at or below the ceiling for latency
@@ -28,7 +29,7 @@ on a 1-CPU runner.
 
 Usage:
 
-    python tools/perf_gate.py [--history BENCH_HISTORY.json]
+    python tools/perf_gate.py [--history path/to/fresh.json]
                               [--baseline path/to/committed.json]
                               [--slack 0.5]
 
@@ -44,7 +45,7 @@ import sys
 from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_HISTORY = ROOT / "BENCH_HISTORY.json"
+DEFAULT_HISTORY = ROOT / "benchmarks" / "results" / "BENCH_HISTORY.json"
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,6 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CLI = ROOT / "examples" / "aftermath_cli.py"
-#: The figure benchmarks record into this file; a reach run puts it
-#: back as it found it.
-HISTORY = ROOT / "BENCH_HISTORY.json"
 
 #: The hook every driver process imports at start-up.  ``{package}``
 #: and ``{log}`` are filled in by :func:`write_sitecustomize`.
@@ -283,7 +280,6 @@ def main():
     work = pathlib.Path(tempfile.mkdtemp(prefix="reach-"))
     hooks = work / "hook"
     log = work / "reach.log"
-    history = HISTORY.read_bytes() if HISTORY.exists() else None
     try:
         for name in ("golden_seidel.ost", "golden_kmeans.ost",
                      "golden_foreign.prv", "golden_foreign.pcf"):
@@ -299,8 +295,6 @@ def main():
         functions = defined_functions()
         hit, missed = report(functions, read_log(log))
     finally:
-        if history is not None:
-            HISTORY.write_bytes(history)
         shutil.rmtree(work, ignore_errors=True)
 
     return print_report(codes, len(functions), hit, missed)
