@@ -13,10 +13,6 @@ from .anomalies import (Anomaly, CounterCorrelation, correlate_counters,
                         detect_frequency_throttling, detect_idle_phases,
                         detect_load_imbalance, detect_locality_anomalies,
                         detect_stragglers, scan)
-from .derived import (AggregatedCounter, AverageTaskDuration,
-                      BytesBetweenNodes, Derivative, DerivedMetric,
-                      DerivedMetricMenu, DerivedSeries, Ratio,
-                      WorkersInState)
 from .correlation import (RegressionResult, counter_increase_per_task,
                           counter_rate_per_task, duration_vs_counter_rate,
                           export_task_table, linear_regression)
@@ -63,10 +59,7 @@ __all__ = [
     "correlate_counters", "detect_duration_outliers",
     "detect_frequency_throttling", "detect_idle_phases",
     "detect_load_imbalance", "detect_locality_anomalies",
-    "detect_stragglers", "scan", "AggregatedCounter",
-    "AverageTaskDuration", "BytesBetweenNodes", "Derivative",
-    "DerivedMetric", "DerivedMetricMenu", "DerivedSeries", "Ratio",
-    "WorkersInState", "DataEndpoint", "TaskDetails",
+    "detect_stragglers", "scan", "DataEndpoint", "TaskDetails",
     "describe_selection", "state_at", "task_at", "task_details",
     "CriticalPathReport", "TypeProfileEntry", "critical_path_report",
     "describe_profile", "scheduling_delays", "task_type_profile",

@@ -260,9 +260,11 @@ def detect_stragglers(trace, ratio_threshold=1.7, min_tasks=5):
     if not means.size:
         return anomalies
     # Baseline per type: the median of the per-core means over cores
-    # that ran that type (NaN-aware), i.e. the typical core.
-    with np.errstate(all="ignore"):
-        baseline = np.nanmedian(means, axis=0)
+    # that ran that type (NaN-aware), i.e. the typical core.  A type
+    # id no core ran keeps a NaN baseline, which ``ran`` excludes.
+    baseline = np.full(means.shape[1], np.nan)
+    present = counts.any(axis=0)
+    baseline[present] = np.nanmedian(means[:, present], axis=0)
     columns = trace.tasks.columns
     type_names = {info.type_id: info.name for info in trace.task_types}
     for core in range(trace.num_cores):

@@ -1,8 +1,9 @@
 """Derived metrics (Section II-A.5).
 
-Aftermath lets the user configure generators for metrics derived from
-high-level events or combining existing counters, overlaid on the
-timeline.  This module implements the derived counters the paper uses:
+The paper derives metrics from high-level events or by combining
+existing counters, and overlays them on the timeline.  The kernels
+below *are* those derived metrics; a composite one (a ratio, the rate
+of a derived series) is numpy arithmetic on their outputs.  They are:
 
 * the number of workers simultaneously in a given state (Fig. 3) —
   computed exactly as described in Section III-A: the execution is

@@ -3,7 +3,7 @@
 from .colors import (heatmap_shades, numa_heat_color, numa_palette,
                      state_color, type_palette)
 from .counter_overlay import (render_counter, render_counter_rate,
-                              render_derived_series, value_bounds)
+                              value_bounds)
 from .event_overlay import (EVENT_COLORS, render_annotations,
                             render_discrete_events)
 from .framebuffer import Framebuffer
@@ -16,7 +16,7 @@ from .timeline import (TIMELINE_MODES, HeatmapMode, NumaHeatmapMode,
 __all__ = [
     "heatmap_shades", "numa_heat_color", "numa_palette", "state_color",
     "type_palette", "render_counter", "render_counter_rate",
-    "value_bounds", "render_derived_series", "EVENT_COLORS",
+    "value_bounds", "EVENT_COLORS",
     "render_annotations",
     "render_discrete_events", "Framebuffer", "histogram_to_text",
     "matrix_to_text",

@@ -154,29 +154,6 @@ def render_counter(trace, counter, view, framebuffer, core=0,
     return framebuffer.draw_calls - before
 
 
-def render_derived_series(series, view, framebuffer, color=(90, 220, 90),
-                          top=None, height=None):
-    """Render a materialized :class:`DerivedSeries` over the timeline.
-
-    Derived metrics are global (not per core), so the curve spans the
-    full overlay height by default; drawing uses the same one-vertical-
-    line-per-pixel scheme and batched kernel as hardware counters.
-    """
-    timestamps, values = series.sample_points()
-    top = 0 if top is None else top
-    height = framebuffer.height if height is None else height
-    if len(timestamps) == 0:
-        return 0
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    bounds = (lo, hi if hi > lo else lo + 1.0)
-    before = framebuffer.draw_calls
-    xs, vmins, vmaxs = _column_extremes(timestamps, values, view)
-    _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
-                  color)
-    return framebuffer.draw_calls - before
-
-
 def render_counter_rate(trace, counter, view, framebuffer, core=0,
                         color=(255, 160, 40), top=None, height=None):
     """Render the discrete derivative of a counter on one core — the

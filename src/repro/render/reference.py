@@ -74,24 +74,6 @@ def render_counter(trace, counter, view, framebuffer, core=0,
     return framebuffer.draw_calls - before
 
 
-def render_derived_series(series, view, framebuffer, color=(90, 220, 90),
-                          top=None, height=None):
-    """Reference for
-    :func:`repro.render.counter_overlay.render_derived_series`."""
-    timestamps, values = series.sample_points()
-    top = 0 if top is None else top
-    height = framebuffer.height if height is None else height
-    if len(timestamps) == 0:
-        return 0
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    bounds = (lo, hi if hi > lo else lo + 1.0)
-    before = framebuffer.draw_calls
-    _draw_column_loop(timestamps, values, view, framebuffer, bounds, top,
-                      height, color)
-    return framebuffer.draw_calls - before
-
-
 def render_discrete_events(trace, view, framebuffer, kind=None,
                            marker_height=3):
     """Reference for

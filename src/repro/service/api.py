@@ -159,12 +159,6 @@ class TraceService:
         record.session.trace = entry.trace
         return entry
 
-    @staticmethod
-    def _view_payload(session):
-        view = session.view
-        return {"start": int(view.start), "end": int(view.end),
-                "width": int(view.width), "height": int(view.height)}
-
     # -- endpoints -----------------------------------------------------
 
     def open(self, params):
@@ -194,7 +188,7 @@ class TraceService:
         return {"session": sid, "path": path, "shared": shared,
                 "cores": int(trace.num_cores),
                 "duration": int(trace.duration),
-                "view": self._view_payload(session)}
+                "view": session.view_state()}
 
     def navigate(self, params):
         """``navigate``: move a session's view.
@@ -213,7 +207,7 @@ class TraceService:
         with entry.lock:
             record.session.navigate(action, **arguments)
         return {"session": record.sid,
-                "view": self._view_payload(record.session)}
+                "view": record.session.view_state()}
 
     def render(self, params):
         """``render``: rasterize a session's current view.
@@ -238,7 +232,7 @@ class TraceService:
                  "width": framebuffer.width,
                  "height": framebuffer.height,
                  "draw_calls": int(framebuffer.draw_calls),
-                 "view": self._view_payload(record.session)}
+                 "view": record.session.view_state()}
         if encoding == "png":
             reply["png_base64"] = base64.b64encode(
                 framebuffer.png_bytes()).decode("ascii")

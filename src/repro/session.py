@@ -1,14 +1,16 @@
 """Analysis sessions: the interactive state around a trace.
 
 The GUI of the paper keeps per-analysis state beyond the trace itself:
-the current zoom/scroll position, the active filters, the configured
-derived metrics (Fig. 1 box 5) and the user's annotations (Section
+the current zoom/scroll position and the user's annotations (Section
 VI-C, explicitly designed for sharing between colleagues).  An
 :class:`AnalysisSession` bundles that state, provides navigation with
 history (back/forward, like the GUI's zoom stack), and persists
 everything *except the trace* to a JSON file — matching the paper's
 point that annotations (and by extension the analysis setup) are
-saved independently from the trace file.  Traces are compared
+saved independently from the trace file.  Derived metrics (Fig. 1
+box 5) are not session state: they are the
+:mod:`repro.core.metrics` kernels, called on ``session.trace`` and
+composed with numpy arithmetic.  Traces are compared
 side by side with the experiment engine's
 :func:`~repro.analysis.experiments.diff_traces` and
 :func:`~repro.analysis.experiments.render_timelines_side_by_side`,
@@ -31,7 +33,6 @@ import json
 from typing import List
 
 from .core.annotations import Annotation, AnnotationStore
-from .core.derived import DerivedMetricMenu
 from .render.timeline import TimelineView
 
 
@@ -44,7 +45,6 @@ class AnalysisSession:
         self.trace = trace
         self.view = TimelineView.fit(trace, width, height)
         self.annotations = AnnotationStore()
-        self.metrics = DerivedMetricMenu()
         self._history: List[TimelineView] = []
         self._future: List[TimelineView] = []
 
@@ -208,8 +208,8 @@ class AnalysisSession:
 
     # -- persistence ----------------------------------------------------
     def save(self, path):
-        """Persist view, history, annotations and metric menu (not the
-        trace) to a JSON session file."""
+        """Persist view, history and annotations (not the trace) to a
+        JSON session file."""
         payload = {
             "version": self.FORMAT_VERSION,
             "view": {"start": self.view.start, "end": self.view.end,
@@ -219,14 +219,16 @@ class AnalysisSession:
                         for view in self._history],
             "annotations": [note.to_dict()
                             for note in self.annotations],
-            "metrics": self.metrics.to_config(),
         }
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2)
 
     @classmethod
     def load(cls, path, trace):
-        """Restore a session file against a (re-)loaded trace."""
+        """Restore a session file against a (re-)loaded trace.
+
+        Other keys are ignored, such as the ``"metrics"`` menu that
+        older version-1 files carry."""
         with open(path) as handle:
             payload = json.load(handle)
         if payload.get("version") != cls.FORMAT_VERSION:
@@ -244,7 +246,5 @@ class AnalysisSession:
         session.annotations = AnnotationStore(
             Annotation.from_dict(entry)
             for entry in payload.get("annotations", []))
-        session.metrics = DerivedMetricMenu.from_config(
-            payload.get("metrics", {}))
         return session
 

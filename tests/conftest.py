@@ -20,6 +20,13 @@ TINY_KMEANS = KmeansConfig(num_points=64_000, block_size=4_000,
                            iterations=3)
 
 
+def pytest_configure(config):
+    """A ``RuntimeWarning`` raised from ``repro`` code (a float error
+    such as a division by zero) fails the test that triggers it."""
+    config.addinivalue_line("filterwarnings",
+                            r"error::RuntimeWarning:repro(\.|$)")
+
+
 @pytest.fixture(scope="session")
 def machine():
     """A 4-node, 16-core NUMA machine."""

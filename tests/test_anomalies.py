@@ -1,12 +1,14 @@
 """Tests for semi-automatic anomaly detection."""
 
+import warnings
+
 import pytest
 
-from repro.core import (TaskTypeFilter, TopologyInfo, TraceBuilder,
-                        WorkerState, correlate_counters,
+from repro.core import (TaskTypeFilter, TaskTypeInfo, TopologyInfo,
+                        TraceBuilder, WorkerState, correlate_counters,
                         detect_duration_outliers, detect_idle_phases,
                         detect_load_imbalance, detect_locality_anomalies,
-                        scan)
+                        detect_stragglers, scan)
 
 
 def synthetic_trace(num_cores=4, idle_band=True):
@@ -109,6 +111,40 @@ class TestLoadImbalance:
                                    10_000)
         assert detect_load_imbalance(builder.build(),
                                      num_intervals=2) == []
+
+
+def straggler_trace(type_ids):
+    """Four cores run 8 tasks of each type in ``type_ids``; core 3
+    runs every one of them twice as long as its peers."""
+    builder = TraceBuilder(TopologyInfo(1, 4))
+    for index, type_id in enumerate(type_ids):
+        builder.describe_task_type(TaskTypeInfo(
+            type_id=type_id, name="type_{}".format(index),
+            address=0x1000 + index, source_file="t.c", source_line=1))
+    task_id = 0
+    for core in range(4):
+        cursor = 0
+        for index, type_id in enumerate(type_ids):
+            for __ in range(8):
+                duration = (200 if core == 3 else 100) * (index + 1)
+                builder.task_execution(task_id, type_id, core, cursor,
+                                       cursor + duration)
+                task_id += 1
+                cursor += duration
+    return builder.build()
+
+
+class TestStragglers:
+    def test_type_id_gap_matches_dense_ids_without_warnings(self):
+        """A type id that no core ran (the gap at 1) must neither warn
+        nor change the finding."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gapped = detect_stragglers(straggler_trace([0, 2]))
+            dense = detect_stragglers(straggler_trace([0, 1]))
+        assert [anomaly.cores for anomaly in gapped] == [[3]]
+        assert gapped[0].severity == pytest.approx(2.0)
+        assert gapped == dense
 
 
 class TestCounterCorrelation:

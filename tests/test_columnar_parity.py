@@ -27,8 +27,6 @@ from repro.core import (AllTasks, CoreFilter, DurationFilter,
 from repro.core import anomalies, correlation
 from repro.core import index as core_index
 from repro.core import metrics, statistics
-from repro.core.derived import (AverageTaskDuration, DerivedMetricMenu,
-                                WorkersInState)
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_discrete_events,
                           render_matrix, render_timeline, value_bounds)
@@ -401,23 +399,6 @@ class TestOverlayParity:
                     assert np.array_equal(pixels, reference_pixels), \
                         (label, view)
 
-    def test_derived_series_overlay_identical(self, pair):
-        from repro.render import render_derived_series
-        trace, mapped = pair
-        for store in (trace, mapped):
-            series = AverageTaskDuration().materialize(store,
-                                                       num_intervals=60)
-            for view in self.overlay_views(trace):
-                scalar_fb = Framebuffer(view.width, view.height)
-                scalar_calls = render_reference.render_derived_series(
-                    series, view, scalar_fb)
-                vector_fb = Framebuffer(view.width, view.height)
-                vector_calls = render_derived_series(series, view,
-                                                     vector_fb)
-                assert vector_calls == scalar_calls, view
-                assert np.array_equal(vector_fb.pixels,
-                                      scalar_fb.pixels), view
-
     def test_value_bounds_matches_reference(self, pair):
         trace, mapped = pair
         if not trace.counter_descriptions:
@@ -502,25 +483,6 @@ class TestCorrelationParity:
         assert rows == correlation.export_task_table(
             mapped, str(mapped_path), counters=counters)
         assert built_path.read_text() == mapped_path.read_text()
-
-
-class TestDerivedParity:
-    def test_materialized_series_identical(self, pair):
-        trace, mapped = pair
-        menu = DerivedMetricMenu()
-        menu.add(WorkersInState(state=int(WorkerState.IDLE)))
-        menu.add(AverageTaskDuration())
-        menu.add(AverageTaskDuration().derivative(), name="derivative")
-        menu.add(WorkersInState(state=int(WorkerState.RUNNING))
-                 / AverageTaskDuration(), name="ratio")
-        built_series = menu.materialize_all(trace, num_intervals=40)
-        mapped_series = menu.materialize_all(mapped,
-                                               num_intervals=40)
-        assert sorted(built_series) == sorted(mapped_series)
-        for name, series in built_series.items():
-            other = mapped_series[name]
-            assert np.array_equal(series.edges, other.edges), name
-            assert np.array_equal(series.values, other.values), name
 
 
 class TestPyramidParity:

@@ -1,8 +1,10 @@
 """Tests for analysis sessions (navigation, persistence)."""
 
+import json
+
 import pytest
 
-from repro.core import Anomaly, WorkersInState, WorkerState
+from repro.core import Anomaly, WorkerState
 from repro.session import AnalysisSession
 
 
@@ -133,7 +135,6 @@ class TestPersistence:
         session.zoom(4.0)
         session.scroll(0.25)
         session.annotate("note one", author="alice")
-        session.metrics.add(WorkersInState(int(WorkerState.IDLE)))
         path = tmp_path / "session.json"
         session.save(str(path))
 
@@ -141,10 +142,50 @@ class TestPersistence:
         assert restored.view == session.view
         assert len(restored.annotations) == 1
         assert list(restored.annotations)[0].author == "alice"
-        assert restored.metrics.names() == session.metrics.names()
         # History survives: back() restores the pre-scroll view.
         previous = restored.back()
         assert previous.duration == session.view.duration
+
+    def test_save_writes_no_metrics_key(self, session, tmp_path):
+        path = tmp_path / "session.json"
+        session.save(str(path))
+        assert "metrics" not in json.loads(path.read_text())
+
+    def test_loads_file_with_legacy_metrics_key(self, seidel_trace_small,
+                                                tmp_path):
+        """Version-1 files once also stored a derived-metric menu under
+        ``"metrics"``; they still load, with view, history and
+        annotations intact."""
+        begin, end = seidel_trace_small.begin, seidel_trace_small.end
+        quarter = (end - begin) // 4
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "view": {"start": begin + quarter, "end": begin + 2 * quarter,
+                     "width": 300, "height": 100},
+            "history": [{"start": begin, "end": end}],
+            "annotations": [{"timestamp": begin + quarter,
+                             "text": "slow phase", "core": 2,
+                             "author": "alice"}],
+            "metrics": {
+                "idle": {"kind": "workers_in_state", "state": 0,
+                         "cores": None},
+                "ratio": {"kind": "ratio",
+                          "numerator": {"kind": "average_task_duration"},
+                          "denominator": {"kind": "aggregated_counter",
+                                          "counter": "cache_misses",
+                                          "cores": [0, 1]}}},
+        }))
+        restored = AnalysisSession.load(str(path), seidel_trace_small)
+        assert restored.view_state() == {
+            "start": begin + quarter, "end": begin + 2 * quarter,
+            "width": 300, "height": 100}
+        [note] = list(restored.annotations)
+        assert (note.timestamp, note.text, note.core, note.author) == (
+            begin + quarter, "slow phase", 2, "alice")
+        previous = restored.back()
+        assert (previous.start, previous.end) == (begin, end)
+        assert (previous.width, previous.height) == (300, 100)
 
     def test_load_rejects_unknown_version(self, seidel_trace_small,
                                           tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import (TaskTypeFilter, WorkerState, average_parallelism,
-                        communication_matrix, interval_report,
+                        communication_matrix, counter_histogram,
+                        interval_report,
                         locality_fraction, per_core_state_time,
                         state_time_summary, steal_matrix,
                         task_duration_histogram)
@@ -33,6 +34,20 @@ class TestHistogram:
         __, early = task_duration_histogram(trace, bins=6, start=None,
                                             end=mid)
         assert early.sum() == pytest.approx(1.0)
+
+
+class TestCounterHistogram:
+    def test_fractions_sum_to_one(self, kmeans_trace_small):
+        __, fractions = counter_histogram(
+            kmeans_trace_small, "branch_mispredictions", bins=12,
+            task_filter=TaskTypeFilter("kmeans_distance"))
+        assert fractions.sum() == pytest.approx(1.0)
+
+    def test_range_pinning(self, kmeans_trace_small):
+        edges, __ = counter_histogram(kmeans_trace_small,
+                                      "cache_misses", bins=4,
+                                      value_range=(0, 100))
+        assert edges[0] == 0 and edges[-1] == 100
 
 
 class TestParallelism:

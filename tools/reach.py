@@ -25,13 +25,21 @@ The report lists every function defined under the package (found by
 list: salvage, corruption and failure paths are never entered by a
 clean run, yet they are the safety code.
 
+The unreached list is checked against the committed ledger
+``tools/reach_baseline.txt`` (one sorted ``module:qualname`` per
+line).  An unreached function the ledger lacks fails the run, so new
+code needs a driver that calls it; a ledger entry that a driver now
+reaches is printed, so that it can be removed and the ledger only
+shrinks.
+
 Usage::
 
     python tools/reach.py
 
-It exits 1 when a driver exits non-zero (or ``serve`` never listens):
-a partial run reports functions as unreached that a full run reaches,
-so such a map is flagged incomplete.  Stdlib only.
+It exits 1 when an unreached function is missing from the ledger, or
+when a driver exits non-zero (or ``serve`` never listens): a partial
+run reports functions as unreached that a full run reaches, so such a
+map is flagged incomplete.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CLI = ROOT / "examples" / "aftermath_cli.py"
+#: The committed ledger of functions no driver reaches.
+BASELINE = ROOT / "tools" / "reach_baseline.txt"
 
 #: The hook every driver process imports at start-up.  ``{package}``
 #: and ``{log}`` are filled in by :func:`write_sitecustomize`.
@@ -276,6 +286,27 @@ def print_report(codes, total, hit, missed):
     return 1 if failed else 0
 
 
+def read_baseline():
+    """The ``module:qualname`` entries of the ledger, in file order."""
+    return BASELINE.read_text().splitlines()
+
+
+def check_ledger(missed, baseline):
+    """Compare the unreached names with the ledger's entries.
+
+    Prints each unreached function the ledger lacks and each entry a
+    driver now reaches; returns 1 when there is an unreached function
+    the ledger lacks, else 0.  A reached entry is only reported."""
+    missed, baseline = set(missed), set(baseline)
+    new = sorted(missed - baseline)
+    for name in new:
+        print("NEW unreached, not in {}: {}".format(BASELINE.name, name))
+    for name in sorted(baseline - missed):
+        print("now reached, remove from {}: {}".format(BASELINE.name,
+                                                       name))
+    return 1 if new else 0
+
+
 def main():
     work = pathlib.Path(tempfile.mkdtemp(prefix="reach-"))
     hooks = work / "hook"
@@ -297,7 +328,8 @@ def main():
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    return print_report(codes, len(functions), hit, missed)
+    status = print_report(codes, len(functions), hit, missed)
+    return max(status, check_ledger(missed, read_baseline()))
 
 
 if __name__ == "__main__":
